@@ -16,9 +16,9 @@ from .finfun import (DEFAULT_BUDGET, EnumerationBudgetError, FiniteFn,
                      enumerate_monotone_maps, ess_bruteforce, format_finite_fn,
                      gap_bruteforce, identify_table, parse_finite_fn,
                      point_at, point_index, reduce_table, salomaa_function)
-from .lattice import (Elem, Lattice, LatticeError, boolean_cube, chain,
-                      format_lattice, lattice_from_covers, make_standard,
-                      parse_lattice, product)
+from .lattice import (Elem, Lattice, LatticeError, boolean_cube, builtin_lattice,
+                      chain, format_lattice, lattice_from_covers, parse_lattice,
+                      product)
 from .polyfn import (MAX_ARITY, MonotonicityError, PolyFn, canonicalize,
                      characteristic_vector, equivalent, essential_variables,
                      eval_dnf, from_monotone_table, identify,
@@ -36,14 +36,15 @@ __all__ = [
     "GapReport", "GapUndefinedError", "Join", "Lattice", "LatticeError",
     "MAX_ARITY", "Meet", "MonotonicityError", "ParseError", "PolyFn",
     "PseudoBooleanCase", "Term", "TruncatedMedian", "Var", "ZhegalkinPoly",
-    "boolean_cube", "canonicalize", "chain", "characteristic_vector",
+    "boolean_cube", "builtin_lattice", "canonicalize", "chain",
+    "characteristic_vector",
     "classify_boolean_gap", "classify_polynomial_gap",
     "classify_pseudo_boolean_gap", "enumerate_all_functions",
     "enumerate_monotone_maps", "equivalent", "ess_bruteforce",
     "essential_variables", "eval_dnf",
     "eval_term", "format_dnf", "format_finite_fn", "format_lattice",
     "from_monotone_table", "gap_bruteforce", "identify", "identify_table",
-    "is_truncated_median", "lattice_from_covers", "make_standard",
+    "is_truncated_median", "lattice_from_covers",
     "parse_expr", "parse_finite_fn", "parse_lattice", "point_at",
     "point_index", "product", "reduce_table", "reduce_to_essential",
     "restrict_to_01", "salomaa_function", "simple_substitution",

@@ -3,9 +3,9 @@
 Three classifiers, one per domain, each returning a verdict object whose
 `gap` property is 1 or 2:
 
-- Boolean functions: reduce to essential variables, take the Zhegalkin
-  polynomial, and test membership in the four gap-2 families (up to
-  permutation of variables). Everything else has gap 1.
+- Boolean functions: take the Zhegalkin polynomial, whose variables are
+  exactly the essential ones, and test membership in the four gap-2
+  families (up to permutation of variables). Everything else has gap 1.
 - Functions from {0,1}^n into an arbitrary finite set, depending on all
   n >= 2 variables: gap 2 exactly when n = 2 and f(0,0) = f(1,1) for a
   nonconstant f, or when f factors as an injective unary map composed
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .finfun import (FiniteFn, GapUndefinedError, ess_bruteforce, reduce_table)
+from .finfun import FiniteFn, GapUndefinedError
 from .lattice import Elem
 from .polyfn import PolyFn, essential_variables, reduce_to_essential
 
@@ -68,14 +68,10 @@ class ZhegalkinPoly:
         return " + ".join(parts)
 
 
-def _require_boolean(f: FiniteFn) -> None:
-    if any(a != 2 for a in f.sizes) or f.codomain != 2:
-        raise ValueError("a Boolean function over {0,1}^n is required")
-
-
 def zhegalkin_from_table(f: FiniteFn) -> ZhegalkinPoly:
     """Parity-transform a Boolean value table into its unique polynomial."""
-    _require_boolean(f)
+    if any(a != 2 for a in f.sizes) or f.codomain != 2:
+        raise ValueError("a Boolean function over {0,1}^n is required")
     coeffs = list(f.table)
     n = f.arity
     for k in range(n):
@@ -93,6 +89,12 @@ class Gap1:
     @property
     def gap(self) -> int:
         return 1
+
+    def to_json(self) -> dict:
+        return {"tag": "gap1", "gap": 1}
+
+    def __str__(self) -> str:
+        return "gap1"
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,14 @@ class BooleanForm:
     def gap(self) -> int:
         return 2
 
+    def to_json(self) -> dict:
+        return {"tag": "boolean-form", "gap": 2, "form": self.form,
+                "m": self.m, "c": self.c, "positions": list(self.positions)}
+
+    def __str__(self) -> str:
+        return (f"boolean-form({self.form}, m={self.m}, c={self.c}, "
+                f"positions={list(self.positions)})")
+
 
 @dataclass(frozen=True)
 class PseudoBooleanCase:
@@ -133,6 +143,16 @@ class PseudoBooleanCase:
     def gap(self) -> int:
         return 2
 
+    def to_json(self) -> dict:
+        return {"tag": "pseudo-boolean", "gap": 2, "cases": list(self.cases),
+                "inner": self.inner.to_json() if self.inner else None,
+                "unary_map": list(self.unary_map) if self.unary_map else None}
+
+    def __str__(self) -> str:
+        inner = f", inner={self.inner}" if self.inner else ""
+        unary = f", g={list(self.unary_map)}" if self.unary_map else ""
+        return f"pseudo-boolean(cases={list(self.cases)}{inner}{unary})"
+
 
 @dataclass(frozen=True)
 class TruncatedMedian:
@@ -144,6 +164,13 @@ class TruncatedMedian:
     @property
     def gap(self) -> int:
         return 2
+
+    def to_json(self) -> dict:
+        return {"tag": "truncated-median", "gap": 2,
+                "low": self.low.name, "high": self.high.name}
+
+    def __str__(self) -> str:
+        return f"truncated-median(low={self.low.name}, high={self.high.name})"
 
 
 GapClassification = Gap1 | BooleanForm | PseudoBooleanCase | TruncatedMedian
@@ -157,9 +184,9 @@ FOURTH_FORM = "form-4"
 def classify_boolean_gap(f: FiniteFn) -> Gap1 | BooleanForm:
     """Decide the arity gap of a Boolean function in closed form.
 
-    Needs at least two essential variables. After reducing to those, the
-    function has gap 2 exactly when its Zhegalkin polynomial is, up to a
-    permutation of variables and a parity constant c, one of
+    Needs at least two essential variables, the variables of its
+    Zhegalkin polynomial. It has gap 2 exactly when that polynomial is,
+    up to a permutation of variables and a parity constant c, one of
 
         x1 + ... + xm + c   (m >= 2)
         x1x2 + x1 + c
@@ -168,13 +195,18 @@ def classify_boolean_gap(f: FiniteFn) -> Gap1 | BooleanForm:
 
     and gap 1 otherwise.
     """
-    _require_boolean(f)
-    if len(ess_bruteforce(f)) < 2:
+    poly = zhegalkin_from_table(f)
+    support = 0
+    for msk in poly.monomials:
+        support |= msk
+    # A variable is essential exactly when it occurs in some monomial.
+    positions = tuple(k + 1 for k in range(f.arity) if (support >> k) & 1)
+    if len(positions) < 2:
         raise GapUndefinedError("arity gap needs at least 2 essential variables")
-    reduced, positions = reduce_table(f)
-    poly = zhegalkin_from_table(reduced)
-    m = reduced.arity
-    mono = set(poly.monomials)
+    m = len(positions)
+    # Renumber the monomials so that positions[t] becomes bit t.
+    mono = {sum(1 << t for t, p in enumerate(positions) if (msk >> (p - 1)) & 1)
+            for msk in poly.monomials}
     c = 1 if 0 in mono else 0
     mono.discard(0)
     singles = sorted(msk for msk in mono if bin(msk).count("1") == 1)
@@ -210,7 +242,7 @@ def classify_pseudo_boolean_gap(f: FiniteFn) -> Gap1 | PseudoBooleanCase:
     n = f.arity
     if n < 2:
         raise GapUndefinedError("arity gap needs at least 2 variables")
-    if len(ess_bruteforce(f)) != n:
+    if len(essential_variables(f)) != n:
         raise ValueError("the function must depend on all of its variables")
 
     cases: list[int] = []

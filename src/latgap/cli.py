@@ -13,70 +13,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from pathlib import Path
 
-from .classify import (BooleanForm, Gap1, PseudoBooleanCase, TruncatedMedian,
-                       classify_boolean_gap, classify_polynomial_gap,
-                       classify_pseudo_boolean_gap, zhegalkin_from_table)
-from .finfun import (FiniteFn, ess_bruteforce, enumerate_all_functions,
-                     enumerate_monotone_maps, gap_bruteforce, parse_finite_fn,
-                     reduce_table)
-from .lattice import (Lattice, LatticeError, boolean_cube, chain,
-                      parse_lattice, product)
-from .polyfn import (PolyFn, canonicalize, essential_variables, restrict_to_01,
-                     value_table)
+from .classify import (classify_boolean_gap, classify_polynomial_gap,
+                       zhegalkin_from_table)
+from .finfun import FiniteFn, ess_bruteforce, gap_bruteforce, parse_finite_fn
+from .lattice import Lattice, LatticeError, builtin_lattice, parse_lattice
+from .polyfn import canonicalize, essential_variables, value_table
+from .sweep import sweep_boolean, sweep_gap_theorem, sweep_pseudo_boolean
 from .terms import ParseError, format_dnf, parse_expr
 
-_CHAIN = re.compile(r"chain([0-9]+)\Z")
-_CUBE = re.compile(r"cube([0-9]+)\Z")
-_GRID = re.compile(r"([0-9]+)x([0-9]+)\Z")
+_UNDEFINED = "undefined (fewer than 2 essential variables)"
 
 
 def load_lattice(spec: str) -> Lattice:
-    if m := _CHAIN.match(spec):
-        return chain(int(m.group(1)))
-    if m := _CUBE.match(spec):
-        return boolean_cube(int(m.group(1)))
-    if m := _GRID.match(spec):
-        return product(chain(int(m.group(1))), chain(int(m.group(2))))
-    return parse_lattice(Path(spec).read_text())
-
-
-def _classification_payload(verdict) -> dict | None:
-    if verdict is None:
-        return None
-    if isinstance(verdict, Gap1):
-        return {"tag": "gap1", "gap": 1}
-    if isinstance(verdict, TruncatedMedian):
-        return {"tag": "truncated-median", "gap": 2,
-                "low": verdict.low.name, "high": verdict.high.name}
-    if isinstance(verdict, BooleanForm):
-        return {"tag": "boolean-form", "gap": 2, "form": verdict.form,
-                "m": verdict.m, "c": verdict.c, "positions": list(verdict.positions)}
-    if isinstance(verdict, PseudoBooleanCase):
-        return {"tag": "pseudo-boolean", "gap": 2, "cases": list(verdict.cases),
-                "inner": _classification_payload(verdict.inner),
-                "unary_map": list(verdict.unary_map) if verdict.unary_map else None}
-    raise TypeError(f"unknown verdict {verdict!r}")
-
-
-def _classification_text(verdict) -> str:
-    if verdict is None:
-        return "undefined (fewer than 2 essential variables)"
-    if isinstance(verdict, Gap1):
-        return "gap1"
-    if isinstance(verdict, TruncatedMedian):
-        return f"truncated-median(low={verdict.low.name}, high={verdict.high.name})"
-    if isinstance(verdict, BooleanForm):
-        return (f"boolean-form({verdict.form}, m={verdict.m}, c={verdict.c}, "
-                f"positions={list(verdict.positions)})")
-    if isinstance(verdict, PseudoBooleanCase):
-        inner = f", inner={_classification_text(verdict.inner)}" if verdict.inner else ""
-        unary = f", g={list(verdict.unary_map)}" if verdict.unary_map else ""
-        return f"pseudo-boolean(cases={list(verdict.cases)}{inner}{unary})"
-    raise TypeError(f"unknown verdict {verdict!r}")
+    lat = builtin_lattice(spec)
+    return lat if lat is not None else parse_lattice(Path(spec).read_text())
 
 
 def _emit(ns, payload: dict, text_lines: list[str]) -> None:
@@ -102,52 +55,57 @@ def cmd_lattice_check(ns) -> int:
     return 0
 
 
+def _show(gap: int | None) -> str:
+    return str(gap) if gap is not None else "undefined"
+
+
+def _verdict_fields(ess: list[int], verdict) -> tuple[dict, list[str]]:
+    """The essential positions and the verdict (None below two essential
+    positions), as JSON fields and as text lines."""
+    gap = verdict.gap if verdict is not None else None
+    payload = {"essential": ess, "ess": len(ess), "gap": gap,
+               "classification": verdict.to_json() if verdict is not None else None,
+               "oracle": None}
+    lines = [f"essential: {ess}", f"ess: {len(ess)}", f"gap: {_show(gap)}",
+             f"classification: {verdict if verdict is not None else _UNDEFINED}"]
+    return payload, lines
+
+
+def _emit_agreement(ns, payload: dict, lines: list[str], agree: bool) -> int:
+    payload["agreement"] = agree
+    lines.append("agreement: ok" if agree else "DISAGREEMENT between classifier and oracle")
+    _emit(ns, payload, lines)
+    return 0 if agree else 2
+
+
 def cmd_analyze(ns) -> int:
     lat = load_lattice(ns.lattice)
     term = parse_expr(ns.expr, ns.arity, lat)
     f = canonicalize(term)
     ess = sorted(essential_variables(f))
     verdict = classify_polynomial_gap(f) if len(ess) >= 2 else None
-    gap = verdict.gap if verdict is not None else None
-
+    fields, text = _verdict_fields(ess, verdict)
+    dnf = format_dnf(f)
     payload = {
         "lattice": {"elements": list(lat.names),
                     "bottom": lat.bottom.name, "top": lat.top.name},
         "expr": ns.expr,
         "arity": ns.arity,
-        "dnf": format_dnf(f),
+        "dnf": dnf,
         "coefficients": [{"subset": list(subset), "value": name}
                          for subset, name in f.dump()],
-        "essential": ess,
-        "ess": len(ess),
-        "gap": gap,
-        "classification": _classification_payload(verdict),
-        "oracle": None,
+        **fields,
     }
-    lines = [
-        f"lattice: |L|={lat.size}, bottom={lat.bottom.name}, top={lat.top.name}",
-        f"dnf: {payload['dnf']}",
-        f"essential: {ess}",
-        f"ess: {len(ess)}",
-        f"gap: {gap if gap is not None else 'undefined'}",
-        f"classification: {_classification_text(verdict)}",
-    ]
-
+    lines = [f"lattice: |L|={lat.size}, bottom={lat.bottom.name}, top={lat.top.name}",
+             f"dnf: {dnf}", *text]
     if ns.verify:
         full = value_table(f)
         oracle_ess = sorted(ess_bruteforce(full))
         oracle_gap = gap_bruteforce(full).gap if len(oracle_ess) >= 2 else None
         payload["oracle"] = {"essential": oracle_ess, "gap": oracle_gap}
-        lines.append(f"oracle: essential={oracle_ess}, "
-                     f"gap={oracle_gap if oracle_gap is not None else 'undefined'}")
-        if oracle_ess != ess or oracle_gap != gap:
-            payload["agreement"] = False
-            lines.append("DISAGREEMENT between classifier and oracle")
-            _emit(ns, payload, lines)
-            return 2
-        payload["agreement"] = True
-        lines.append("agreement: ok")
-
+        lines.append(f"oracle: essential={oracle_ess}, gap={_show(oracle_gap)}")
+        return _emit_agreement(ns, payload, lines,
+                               oracle_ess == ess and oracle_gap == fields["gap"])
     _emit(ns, payload, lines)
     return 0
 
@@ -172,133 +130,23 @@ def cmd_bool_analyze(ns) -> int:
     poly = zhegalkin_from_table(f)
     ess = sorted(ess_bruteforce(f))
     verdict = classify_boolean_gap(f) if len(ess) >= 2 else None
-    gap = verdict.gap if verdict is not None else None
-    payload = {
-        "arity": f.arity,
-        "table": "".join(str(v) for v in f.table),
-        "polynomial": str(poly),
-        "essential": ess,
-        "ess": len(ess),
-        "gap": gap,
-        "classification": _classification_payload(verdict),
-        "oracle": None,
-    }
-    lines = [
-        f"arity: {f.arity}",
-        f"polynomial: {poly}",
-        f"essential: {ess}",
-        f"ess: {len(ess)}",
-        f"gap: {gap if gap is not None else 'undefined'}",
-        f"classification: {_classification_text(verdict)}",
-    ]
+    fields, text = _verdict_fields(ess, verdict)
+    payload = {"arity": f.arity, "table": "".join(str(v) for v in f.table),
+               "polynomial": str(poly), **fields}
+    lines = [f"arity: {f.arity}", f"polynomial: {poly}", *text]
     if ns.verify:
         oracle_gap = gap_bruteforce(f).gap if len(ess) >= 2 else None
         payload["oracle"] = {"gap": oracle_gap}
-        lines.append(f"oracle: gap={oracle_gap if oracle_gap is not None else 'undefined'}")
-        if oracle_gap != gap:
-            payload["agreement"] = False
-            lines.append("DISAGREEMENT between classifier and oracle")
-            _emit(ns, payload, lines)
-            return 2
-        payload["agreement"] = True
-        lines.append("agreement: ok")
+        lines.append(f"oracle: gap={_show(oracle_gap)}")
+        return _emit_agreement(ns, payload, lines, oracle_gap == fields["gap"])
     _emit(ns, payload, lines)
     return 0
 
 
-def _sweep_summary(ns, kind: str, stats: dict, counterexample: dict | None) -> int:
-    payload = {"sweep": kind, **stats,
-               "disagreements": 0 if counterexample is None else 1,
-               "ok": counterexample is None,
-               "counterexample": counterexample}
-    lines = [f"sweep: {kind}"]
-    lines += [f"{key}: {value}" for key, value in stats.items()]
-    if counterexample is None:
-        lines += ["disagreements: 0", "result: ok"]
-        _emit(ns, payload, lines)
-        return 0
-    lines += ["disagreements: 1",
-              f"counterexample: {json.dumps(counterexample)}",
-              "result: DISAGREEMENT"]
-    _emit(ns, payload, lines)
-    return 2
-
-
-def cmd_verify_boolean(ns) -> int:
-    scanned = analyzed = 0
-    gap_counts = {1: 0, 2: 0}
-    counterexample = None
-    for f in enumerate_all_functions(ns.arity, 2, 2):
-        scanned += 1
-        if len(ess_bruteforce(f)) < 2:
-            continue
-        analyzed += 1
-        claimed = classify_boolean_gap(f).gap
-        actual = gap_bruteforce(f).gap
-        if claimed != actual or actual > 2:
-            counterexample = {"table": "".join(map(str, f.table)),
-                              "classifier_gap": claimed, "oracle_gap": actual}
-            break
-        gap_counts[actual] += 1
-    stats = {"arity": ns.arity, "scanned": scanned, "analyzed": analyzed,
-             "skipped": scanned - analyzed,
-             "gap_counts": {str(g): c for g, c in gap_counts.items()}}
-    return _sweep_summary(ns, "boolean", stats, counterexample)
-
-
-def cmd_verify_pseudo_boolean(ns) -> int:
-    scanned = analyzed = 0
-    gap_counts = {1: 0, 2: 0}
-    counterexample = None
-    for f in enumerate_all_functions(ns.arity, 2, ns.codomain):
-        scanned += 1
-        if len(ess_bruteforce(f)) < 2:
-            continue
-        analyzed += 1
-        reduced, _ = reduce_table(f)
-        claimed = classify_pseudo_boolean_gap(reduced).gap
-        actual = gap_bruteforce(f).gap
-        if claimed != actual or actual > 2:
-            counterexample = {"table": list(f.table),
-                              "classifier_gap": claimed, "oracle_gap": actual}
-            break
-        gap_counts[actual] += 1
-    stats = {"arity": ns.arity, "codomain": ns.codomain, "scanned": scanned,
-             "analyzed": analyzed, "skipped": scanned - analyzed,
-             "gap_counts": {str(g): c for g, c in gap_counts.items()}}
-    return _sweep_summary(ns, "pseudo-boolean", stats, counterexample)
-
-
-def cmd_verify_gap_theorem(ns) -> int:
-    lat = load_lattice(ns.lattice)
-    scanned = analyzed = 0
-    gap_counts = {1: 0, 2: 0}
-    counterexample = None
-    for coeffs in enumerate_monotone_maps(ns.arity, lat):
-        scanned += 1
-        f = PolyFn(lat, ns.arity, coeffs)
-        ess = essential_variables(f)
-        if len(ess) < 2:
-            continue
-        analyzed += 1
-        claimed = classify_polynomial_gap(f).gap
-        full = value_table(f)
-        report = gap_bruteforce(full)
-        ess01 = ess_bruteforce(restrict_to_01(f))
-        if claimed != report.gap or report.gap not in (1, 2) \
-                or report.essential != ess or ess01 != ess:
-            counterexample = {"coefficients": [name for _, name in f.dump()],
-                              "classifier_gap": claimed, "oracle_gap": report.gap,
-                              "essential": sorted(ess),
-                              "oracle_essential": sorted(report.essential),
-                              "restricted_essential": sorted(ess01)}
-            break
-        gap_counts[report.gap] += 1
-    stats = {"lattice": ns.lattice, "size": lat.size, "arity": ns.arity,
-             "monotone_maps": scanned, "analyzed": analyzed,
-             "skipped": scanned - analyzed,
-             "gap_counts": {str(g): c for g, c in gap_counts.items()}}
-    return _sweep_summary(ns, "gap-theorem", stats, counterexample)
+def cmd_verify(ns) -> int:
+    report = ns.sweep(ns)
+    _emit(ns, report.to_json(), [str(report)])
+    return 0 if report.ok else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,18 +186,20 @@ def build_parser() -> argparse.ArgumentParser:
     q = verify_sub.add_parser("boolean")
     q.add_argument("--arity", type=int, required=True)
     q.add_argument("--json", action="store_true")
-    q.set_defaults(func=cmd_verify_boolean)
+    q.set_defaults(func=cmd_verify, sweep=lambda ns: sweep_boolean(ns.arity))
     q = verify_sub.add_parser("pseudo-boolean")
     q.add_argument("--arity", type=int, required=True)
     q.add_argument("--codomain", type=int, required=True)
     q.add_argument("--json", action="store_true")
-    q.set_defaults(func=cmd_verify_pseudo_boolean)
+    q.set_defaults(func=cmd_verify,
+                   sweep=lambda ns: sweep_pseudo_boolean(ns.arity, ns.codomain))
     q = verify_sub.add_parser("gap-theorem")
     q.add_argument("--lattice", required=True,
                    help="lattice file, or chainN / cubeN / NxM")
     q.add_argument("--arity", type=int, required=True)
     q.add_argument("--json", action="store_true")
-    q.set_defaults(func=cmd_verify_gap_theorem)
+    q.set_defaults(func=cmd_verify, sweep=lambda ns: sweep_gap_theorem(
+        ns.lattice, load_lattice(ns.lattice), ns.arity))
 
     return parser
 

@@ -174,7 +174,6 @@ class GapReport:
     ess: int
     essl: int
     gap: int
-    classification: object | None = field(default=None, compare=False)
 
 
 def gap_bruteforce(f: FiniteFn) -> GapReport:

@@ -51,8 +51,8 @@ class Lattice:
     """A finite bounded distributive lattice with precomputed tables.
 
     Do not call the constructor directly; build instances with
-    ``lattice_from_covers``, ``make_standard``, ``chain``,
-    ``boolean_cube``, ``product``, or ``parse_lattice``. Those paths
+    ``lattice_from_covers``, ``chain``, ``boolean_cube``, ``product``,
+    ``builtin_lattice``, or ``parse_lattice``. Those paths
     validate the presentation; the constructor only stores tables.
 
     Low-level attributes used by sibling modules:
@@ -311,15 +311,49 @@ def product(left: Lattice, right: Lattice) -> Lattice:
     return lattice_from_covers(names, covers)
 
 
-def make_standard(kind: str, *params) -> Lattice:
-    """Dispatch to the named standard construction: chain, boolean_cube, product."""
-    if kind == "chain":
-        return chain(*params)
-    if kind == "boolean_cube":
-        return boolean_cube(*params)
-    if kind == "product":
-        return product(*params)
-    raise LatticeError(f"unknown standard lattice kind {kind!r}")
+# Builtin names are checked against this cap before anything is built:
+# construction does O(|L|^3) work and an N-element chain needs N names.
+MAX_BUILTIN_SIZE = 64
+
+_CHAIN = re.compile(r"chain([0-9]+)\Z")
+_CUBE = re.compile(r"cube([0-9]+)\Z")
+_GRID = re.compile(r"([0-9]+)x([0-9]+)\Z")
+
+
+def _count(digits: str) -> int:
+    # More than three significant digits is over the cap anyway; capping
+    # here keeps a huge digit string from ever becoming a huge integer.
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= 3 else MAX_BUILTIN_SIZE + 1
+
+
+def _check_size(spec: str, size: int) -> None:
+    if size > MAX_BUILTIN_SIZE:
+        raise LatticeError(f"builtin lattice {spec!r} has more than "
+                           f"{MAX_BUILTIN_SIZE} elements")
+
+
+def builtin_lattice(spec: str) -> Lattice | None:
+    """The lattice a builtin name stands for, or None for any other spec.
+
+    ``chainN`` is a chain on N elements, ``cubeN`` the subsets of an
+    N-element set and ``NxM`` the product of two chains. A name whose
+    lattice would have more than MAX_BUILTIN_SIZE elements raises
+    LatticeError before anything is built.
+    """
+    if m := _CHAIN.match(spec):
+        n = _count(m[1])
+        _check_size(spec, n)
+        return chain(n)
+    if m := _CUBE.match(spec):
+        dim = _count(m[1])
+        _check_size(spec, 1 << dim)
+        return boolean_cube(dim)
+    if m := _GRID.match(spec):
+        rows, cols = _count(m[1]), _count(m[2])
+        _check_size(spec, rows * cols)
+        return product(chain(rows), chain(cols))
+    return None
 
 
 def parse_lattice(text: str) -> Lattice:

@@ -211,13 +211,16 @@ def value_table(f: PolyFn) -> FiniteFn:
                     table=tuple(build(f.table)), labels=lat.names)
 
 
-def essential_variables(f: PolyFn) -> frozenset[int]:
+def essential_variables(f: PolyFn | FiniteFn) -> frozenset[int]:
     """Positions j with a strict coefficient increase a_J < a_{J + j}.
 
     Because the table is monotone, strictness is simply inequality of
     the two coefficients. This matches the definitional test over all of
     L^n: a variable is essential exactly when some pair of points
     differing only there gets different values.
+
+    Only `f.table` and `f.arity` are read, so the same test decides
+    essentiality of any FiniteFn over {0,1}^n, monotone or not.
     """
     table = f.table
     ess = set()

@@ -13,104 +13,33 @@ import random
 import time
 from functools import lru_cache
 
-from latgap import (PolyFn, canonicalize, chain, classify_boolean_gap,
-                    classify_polynomial_gap, classify_pseudo_boolean_gap,
-                    enumerate_all_functions, enumerate_monotone_maps,
-                    ess_bruteforce, essential_variables, eval_dnf, eval_term,
-                    gap_bruteforce, product, restrict_to_01, salomaa_function,
-                    value_table)
+from latgap import (builtin_lattice, canonicalize, chain, enumerate_monotone_maps,
+                    eval_dnf, eval_term, gap_bruteforce, product,
+                    salomaa_function)
+from latgap.sweep import sweep_boolean, sweep_gap_theorem, sweep_pseudo_boolean
 from helpers import random_term
+
+LATTICES = ("chain2", "chain3", "chain4", "2x2", "2x3")
 
 
 @lru_cache(maxsize=None)
 def boolean_sweep():
-    out = {}
-    for n in (2, 3, 4):
-        start = time.perf_counter()
-        scanned = analyzed = disagreements = 0
-        max_gap = 0
-        for f in enumerate_all_functions(n, 2, 2):
-            scanned += 1
-            if len(ess_bruteforce(f)) < 2:
-                continue
-            analyzed += 1
-            actual = gap_bruteforce(f).gap
-            if classify_boolean_gap(f).gap != actual:
-                disagreements += 1
-            if actual > max_gap:
-                max_gap = actual
-        out[n] = {"scanned": scanned, "analyzed": analyzed,
-                  "disagreements": disagreements, "max_gap": max_gap,
-                  "elapsed": time.perf_counter() - start}
-    return out
+    return {n: sweep_boolean(n) for n in (2, 3, 4)}
 
 
 @lru_cache(maxsize=None)
 def pseudo_sweep():
-    out = {}
-    for n in (2, 3):
-        start = time.perf_counter()
-        scanned = analyzed = disagreements = 0
-        max_gap = max_gap_wide = 0
-        for f in enumerate_all_functions(n, 2, 3):
-            scanned += 1
-            if len(ess_bruteforce(f)) != n:
-                continue
-            analyzed += 1
-            report = gap_bruteforce(f)
-            if classify_pseudo_boolean_gap(f).gap != report.gap:
-                disagreements += 1
-            if report.gap > max_gap:
-                max_gap = report.gap
-            if report.ess > 2 and report.gap > max_gap_wide:
-                max_gap_wide = report.gap
-        out[n] = {"scanned": scanned, "analyzed": analyzed,
-                  "disagreements": disagreements, "max_gap": max_gap,
-                  "max_gap_ess_gt2": max_gap_wide,
-                  "elapsed": time.perf_counter() - start}
-    return out
+    return {n: sweep_pseudo_boolean(n, 3) for n in (2, 3)}
 
 
 @lru_cache(maxsize=None)
 def lattice_sweep():
-    lattices = {
-        "chain2": chain(2),
-        "chain3": chain(3),
-        "chain4": chain(4),
-        "2x2": product(chain(2), chain(2)),
-        "2x3": product(chain(2), chain(3)),
-    }
-    out = {}
-    for name, lat in lattices.items():
-        start = time.perf_counter()
-        maps = analyzed = 0
-        gap_disagreements = gaps_outside = ess_mismatches = 0
-        max_gap = 0
-        for n in (2, 3):
-            for coeffs in enumerate_monotone_maps(n, lat):
-                maps += 1
-                f = PolyFn(lat, n, coeffs)
-                ess = essential_variables(f)
-                full = value_table(f)
-                if ess != ess_bruteforce(full) \
-                        or ess != ess_bruteforce(restrict_to_01(f)):
-                    ess_mismatches += 1
-                if len(ess) < 2:
-                    continue
-                analyzed += 1
-                actual = gap_bruteforce(full).gap
-                if classify_polynomial_gap(f).gap != actual:
-                    gap_disagreements += 1
-                if actual not in (1, 2):
-                    gaps_outside += 1
-                if actual > max_gap:
-                    max_gap = actual
-        out[name] = {"size": lat.size, "maps": maps, "analyzed": analyzed,
-                     "gap_disagreements": gap_disagreements,
-                     "gaps_outside_1_2": gaps_outside,
-                     "ess_mismatches": ess_mismatches, "max_gap": max_gap,
-                     "elapsed": time.perf_counter() - start}
-    return out
+    return {name: [sweep_gap_theorem(name, builtin_lattice(name), n) for n in (2, 3)]
+            for name in LATTICES}
+
+
+def max_gap(report) -> int:
+    return max((g for g, count in report.gap_counts.items() if count), default=0)
 
 
 @lru_cache(maxsize=None)
@@ -133,48 +62,56 @@ def dnf_reconstruction():
 def test_criterion_1_boolean_sweep_matches_oracle():
     results = boolean_sweep()
     for n, r in results.items():
-        assert r["scanned"] == 1 << (1 << n)
-        assert r["analyzed"] == r["scanned"] - 2 - 2 * n
-        assert r["disagreements"] == 0, f"n={n}: {r['disagreements']} disagreements"
-    assert results[4]["elapsed"] < 60
+        assert r.scanned == 1 << (1 << n)
+        assert r.analyzed == r.scanned - 2 - 2 * n
+        assert r.ok, f"n={n}: counterexample {r.counterexample}"
+    assert results[4].elapsed < 60
     print("PASS criterion 1: boolean sweep n=2,3,4 "
-          f"({sum(r['analyzed'] for r in results.values())} functions, "
-          f"0 disagreements, n=4 in {results[4]['elapsed']:.1f}s)")
+          f"({sum(r.analyzed for r in results.values())} functions, "
+          f"0 disagreements, n=4 in {results[4].elapsed:.1f}s)")
 
 
 def test_criterion_2_pseudo_boolean_sweep_matches_oracle():
     results = pseudo_sweep()
-    assert results[2]["scanned"] == 81
-    assert results[3]["scanned"] == 6561
-    assert results[2]["analyzed"] == 66
-    assert results[3]["analyzed"] == 6342
+    assert results[2].scanned == 81
+    assert results[3].scanned == 6561
+    # Every function with at least 2 essential variables, reduced to
+    # those: at n=3, 6540 = 6342 all-essential + C(3,2) * 66 with
+    # exactly two essential variables.
+    assert results[2].analyzed == 66
+    assert results[3].analyzed == 6540
     for n, r in results.items():
-        assert r["disagreements"] == 0, f"n={n}: {r['disagreements']} disagreements"
-    total_time = sum(r["elapsed"] for r in results.values())
+        assert r.ok, f"n={n}: counterexample {r.counterexample}"
+    total_time = sum(r.elapsed for r in results.values())
     assert total_time < 10
     print("PASS criterion 2: pseudo-boolean sweep n=2,3 into 3 values "
-          f"(6408 all-essential functions, 0 disagreements, {total_time:.1f}s)")
+          f"(6606 functions with >= 2 essential variables, 0 disagreements, "
+          f"{total_time:.1f}s)")
 
 
 def test_criterion_3_lattice_sweep_matches_oracle():
     results = lattice_sweep()
-    assert set(results) == {"chain2", "chain3", "chain4", "2x2", "2x3"}
-    for name, r in results.items():
-        assert r["maps"] > 0
-        assert r["gap_disagreements"] == 0, f"{name}: classifier vs oracle"
-        assert r["gaps_outside_1_2"] == 0, f"{name}: gap outside {{1,2}}"
-        assert r["elapsed"] < 60, f"{name}: {r['elapsed']:.1f}s"
-    total = sum(r["analyzed"] for r in results.values())
-    slowest = max(r["elapsed"] for r in results.values())
+    assert set(results) == set(LATTICES)
+    for name, reports in results.items():
+        assert sum(r.scanned for r in reports) > 0
+        for r in reports:
+            assert r.ok, f"{name}: counterexample {r.counterexample}"
+        elapsed = sum(r.elapsed for r in reports)
+        assert elapsed < 60, f"{name}: {elapsed:.1f}s"
+    total = sum(r.analyzed for reports in results.values() for r in reports)
+    slowest = max(sum(r.elapsed for r in reports) for reports in results.values())
     print("PASS criterion 3: lattice sweep over 5 lattices, n=2,3 "
           f"({total} functions, 0 disagreements, slowest lattice {slowest:.1f}s)")
 
 
 def test_criterion_4_essentiality_criteria_agree():
+    # The gap-theorem check compares all three criteria on every map,
+    # including those with fewer than 2 essential variables.
     results = lattice_sweep()
-    for name, r in results.items():
-        assert r["ess_mismatches"] == 0, f"{name}: essentiality criteria differ"
-    total = sum(r["maps"] for r in results.values())
+    for name, reports in results.items():
+        for r in reports:
+            assert r.ok, f"{name}: essentiality criteria differ: {r.counterexample}"
+    total = sum(r.scanned for reports in results.values() for r in reports)
     print("PASS criterion 4: coefficient, full-domain, and 0/1-point "
           f"essentiality agree on all {total} swept functions")
 
@@ -199,12 +136,12 @@ def test_criterion_6_salomaa_gap_equals_alphabet():
 
 def test_criterion_7_gap_bounds():
     for n, r in boolean_sweep().items():
-        assert r["max_gap"] <= 2, f"boolean n={n}: gap above alphabet size"
+        assert max_gap(r) <= 2, f"boolean n={n}: gap above alphabet size"
     for n, r in pseudo_sweep().items():
-        assert r["max_gap"] <= 2, f"pseudo n={n}: gap above alphabet size"
-        assert r["max_gap_ess_gt2"] <= 2
-    for name, r in lattice_sweep().items():
-        assert r["max_gap"] <= r["size"], f"{name}: gap above lattice size"
+        assert max_gap(r) <= 2, f"pseudo n={n}: gap above alphabet size"
+    for name, reports in lattice_sweep().items():
+        for r in reports:
+            assert max_gap(r) <= r.params["size"], f"{name}: gap above lattice size"
     for k in (3, 4):
         assert gap_bruteforce(salomaa_function(k)).gap <= k
     print("PASS criterion 7: every swept gap within the alphabet-size bound, "

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
+import latgap.classify
 from latgap import (FOURTH_FORM, MEDIAN_FORM, MIXED_FORM, SUM_FORM,
                     BooleanForm, FiniteFn, Gap1, GapUndefinedError,
                     PseudoBooleanCase, TruncatedMedian, ZhegalkinPoly,
@@ -14,6 +17,7 @@ from latgap import (FOURTH_FORM, MEDIAN_FORM, MIXED_FORM, SUM_FORM,
                     value_table, zhegalkin_from_table)
 from helpers import monotone_tables_by_filter
 from latgap.polyfn import from_monotone_table
+from latgap.sweep import sweep_boolean, sweep_pseudo_boolean
 
 MEDIAN = "(x1 & x2) | (x2 & x3) | (x3 & x1)"
 
@@ -114,10 +118,7 @@ def test_classify_boolean_needs_two_essential():
 
 def test_classify_boolean_matches_oracle_exhaustively():
     for n in (2, 3):
-        for f in enumerate_all_functions(n, 2, 2):
-            if len(ess_bruteforce(f)) < 2:
-                continue
-            assert classify_boolean_gap(f).gap == gap_bruteforce(f).gap
+        assert sweep_boolean(n).ok
 
 
 def test_pseudo_case_one_only():
@@ -162,10 +163,7 @@ def test_pseudo_rejects_bad_input():
 
 
 def test_pseudo_matches_oracle_exhaustively():
-    for f in enumerate_all_functions(2, 2, 3):
-        if len(ess_bruteforce(f)) != 2:
-            continue
-        assert classify_pseudo_boolean_gap(f).gap == gap_bruteforce(f).gap
+    assert sweep_pseudo_boolean(2, 3).ok
 
 
 def test_truncated_median_detection(c2, c4):
@@ -219,3 +217,38 @@ def test_polynomial_classifier_matches_oracle(c2):
         if len(ess_bruteforce(vt)) < 2:
             continue
         assert classify_polynomial_gap(f).gap == gap_bruteforce(vt).gap
+
+
+def test_verdicts_render_themselves(c4):
+    form = BooleanForm(MIXED_FORM, 2, 1, (3, 1))
+    form_json = {"tag": "boolean-form", "gap": 2, "form": "x1x2+x1",
+                 "m": 2, "c": 1, "positions": [3, 1]}
+    cases = [
+        (Gap1(), "gap1", {"tag": "gap1", "gap": 1}),
+        (form, "boolean-form(x1x2+x1, m=2, c=1, positions=[3, 1])", form_json),
+        (PseudoBooleanCase((1, 2), form, (0, 2)),
+         "pseudo-boolean(cases=[1, 2], inner=boolean-form(x1x2+x1, m=2, c=1, "
+         "positions=[3, 1]), g=[0, 2])",
+         {"tag": "pseudo-boolean", "gap": 2, "cases": [1, 2],
+          "inner": form_json, "unary_map": [0, 2]}),
+        (PseudoBooleanCase((1,), None, None), "pseudo-boolean(cases=[1])",
+         {"tag": "pseudo-boolean", "gap": 2, "cases": [1], "inner": None,
+          "unary_map": None}),
+        (TruncatedMedian(c4.element("a"), c4.element("b")),
+         "truncated-median(low=a, high=b)",
+         {"tag": "truncated-median", "gap": 2, "low": "a", "high": "b"}),
+    ]
+    for verdict, text, payload in cases:
+        assert str(verdict) == text
+        assert verdict.to_json() == payload
+
+
+def test_classify_imports_no_oracle_code():
+    # The closed-form classifiers must stay independent of the oracle.
+    tree = ast.parse(Path(latgap.classify.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any("finfun" in alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and "finfun" in (node.module or ""):
+            names = {alias.name for alias in node.names}
+            assert names <= {"FiniteFn", "GapUndefinedError"}, names

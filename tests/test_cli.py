@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from latgap import chain, ess_bruteforce, enumerate_all_functions
+from latgap import (LatticeError, builtin_lattice, chain, ess_bruteforce,
+                    enumerate_all_functions)
 from latgap.classify import Gap1
 from latgap.cli import load_lattice, main
 from helpers import M3_COVERS, M3_NAMES, monotone_tables_by_filter
@@ -77,6 +78,17 @@ def test_load_lattice_builtins(tmp_path):
     path = tmp_path / "d.lat"
     path.write_text(DIAMOND)
     assert load_lattice(str(path)).names == ("0", "x", "y", "1")
+
+
+def test_oversized_builtin_lattice_is_rejected(capsys):
+    for spec in ("cube5000000", "chain1000000"):
+        with pytest.raises(LatticeError, match="more than"):
+            builtin_lattice(spec)
+        rc, out, err = run(capsys, ["analyze", "--lattice", spec,
+                                    "--arity", "2", "--expr", "x1"])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_analyze_median(capsys):
@@ -256,7 +268,9 @@ def test_verify_gap_theorem_chain3(capsys):
 
 def test_disagreement_exit_code(capsys, monkeypatch):
     import latgap.cli as cli
+    import latgap.sweep as sweep
     monkeypatch.setattr(cli, "classify_boolean_gap", lambda f: Gap1())
+    monkeypatch.setattr(sweep, "classify_boolean_gap", lambda f: Gap1())
     rc, out, _ = run(capsys, ["bool", "analyze", "--table", "0110", "--verify"])
     assert rc == 2
     assert "DISAGREEMENT" in out

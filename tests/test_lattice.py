@@ -6,7 +6,7 @@ import re
 import pytest
 
 from latgap import (Elem, LatticeError, boolean_cube, chain, format_lattice,
-                    lattice_from_covers, make_standard, parse_lattice, product)
+                    lattice_from_covers, parse_lattice, product)
 from helpers import M3_COVERS, M3_NAMES, N5_COVERS, N5_NAMES
 
 
@@ -194,15 +194,7 @@ def test_nondistributive_rejected_with_genuine_witness(names, covers):
     assert lhs != rhs
 
 
-def test_make_standard_dispatch():
-    assert make_standard("chain", 3).names == ("0", "a", "1")
-    assert len(make_standard("boolean_cube", 3)) == 8
-    assert len(make_standard("product", chain(2), chain(3))) == 6
-    with pytest.raises(LatticeError, match="unknown standard"):
-        make_standard("pentagon", 5)
-
-
-def test_make_standard_bad_params():
+def test_standard_constructors_reject_bad_params():
     with pytest.raises(LatticeError):
         chain(1)
     with pytest.raises(LatticeError):
