@@ -50,6 +50,14 @@ class ZhegalkinPoly:
                 acc ^= 1
         return acc
 
+    @property
+    def variables(self) -> tuple[int, ...]:
+        """The positions occurring in some monomial: the essential ones."""
+        support = 0
+        for m in self.monomials:
+            support |= m
+        return tuple(k + 1 for k in range(self.arity) if (support >> k) & 1)
+
     def __str__(self) -> str:
         if not self.monomials:
             return "0"
@@ -196,11 +204,7 @@ def classify_boolean_gap(f: FiniteFn) -> Gap1 | BooleanForm:
     and gap 1 otherwise.
     """
     poly = zhegalkin_from_table(f)
-    support = 0
-    for msk in poly.monomials:
-        support |= msk
-    # A variable is essential exactly when it occurs in some monomial.
-    positions = tuple(k + 1 for k in range(f.arity) if (support >> k) & 1)
+    positions = poly.variables
     if len(positions) < 2:
         raise GapUndefinedError("arity gap needs at least 2 essential variables")
     m = len(positions)

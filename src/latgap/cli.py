@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .classify import (classify_boolean_gap, classify_polynomial_gap,
                        zhegalkin_from_table)
-from .finfun import FiniteFn, ess_bruteforce, gap_bruteforce, parse_finite_fn
+from .finfun import FiniteFn, gap_bruteforce, parse_finite_fn
 from .lattice import Lattice, LatticeError, builtin_lattice, parse_lattice
 from .polyfn import canonicalize, essential_variables, value_table
 from .sweep import sweep_boolean, sweep_gap_theorem, sweep_pseudo_boolean
@@ -71,7 +71,14 @@ def _verdict_fields(ess: list[int], verdict) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _emit_agreement(ns, payload: dict, lines: list[str], agree: bool) -> int:
+def _emit_verified(ns, payload: dict, lines: list[str], table: FiniteFn) -> int:
+    """Add the oracle's essential positions and gap for `table`, and
+    whether both match the payload's own."""
+    report = gap_bruteforce(table)
+    oracle_ess = sorted(report.essential)
+    payload["oracle"] = {"essential": oracle_ess, "gap": report.gap}
+    lines.append(f"oracle: essential={oracle_ess}, gap={_show(report.gap)}")
+    agree = oracle_ess == payload["essential"] and report.gap == payload["gap"]
     payload["agreement"] = agree
     lines.append("agreement: ok" if agree else "DISAGREEMENT between classifier and oracle")
     _emit(ns, payload, lines)
@@ -99,13 +106,7 @@ def cmd_analyze(ns) -> int:
     lines = [f"lattice: |L|={lat.size}, bottom={lat.bottom.name}, top={lat.top.name}",
              f"dnf: {dnf}", *text]
     if ns.verify:
-        full = value_table(f)
-        oracle_ess = sorted(ess_bruteforce(full))
-        oracle_gap = gap_bruteforce(full).gap if len(oracle_ess) >= 2 else None
-        payload["oracle"] = {"essential": oracle_ess, "gap": oracle_gap}
-        lines.append(f"oracle: essential={oracle_ess}, gap={_show(oracle_gap)}")
-        return _emit_agreement(ns, payload, lines,
-                               oracle_ess == ess and oracle_gap == fields["gap"])
+        return _emit_verified(ns, payload, lines, value_table(f))
     _emit(ns, payload, lines)
     return 0
 
@@ -128,17 +129,14 @@ def _bool_fn_from_args(ns) -> FiniteFn:
 def cmd_bool_analyze(ns) -> int:
     f = _bool_fn_from_args(ns)
     poly = zhegalkin_from_table(f)
-    ess = sorted(ess_bruteforce(f))
+    ess = list(poly.variables)
     verdict = classify_boolean_gap(f) if len(ess) >= 2 else None
     fields, text = _verdict_fields(ess, verdict)
     payload = {"arity": f.arity, "table": "".join(str(v) for v in f.table),
                "polynomial": str(poly), **fields}
     lines = [f"arity: {f.arity}", f"polynomial: {poly}", *text]
     if ns.verify:
-        oracle_gap = gap_bruteforce(f).gap if len(ess) >= 2 else None
-        payload["oracle"] = {"gap": oracle_gap}
-        lines.append(f"oracle: gap={_show(oracle_gap)}")
-        return _emit_agreement(ns, payload, lines, oracle_gap == fields["gap"])
+        return _emit_verified(ns, payload, lines, f)
     _emit(ns, payload, lines)
     return 0
 

@@ -8,7 +8,9 @@ gap by building every identification minor and counting its essential
 variables.
 
 Points are encoded little-endian: position 1 is the fastest-moving
-digit of the table index.
+digit of the table index, so the digit of position k repeats in runs of
+stride_k = |A_1|...|A_{k-1}| entries. Tables are read through slices of
+those runs, computed afresh on each call; no index tables are memoised.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -75,24 +76,16 @@ class FiniteFn:
         return self.table[point_index(self.sizes, point)]
 
 
-@lru_cache(maxsize=None)
-def _strides(sizes: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    s = 1
-    for a in sizes:
-        out.append(s)
-        s *= a
-    return tuple(out)
-
-
 def point_index(sizes: tuple[int, ...], point: Sequence[int]) -> int:
     if len(point) != len(sizes):
         raise ValueError(f"point has {len(point)} digits, expected {len(sizes)}")
     idx = 0
-    for digit, size, stride in zip(point, sizes, _strides(sizes)):
+    stride = 1
+    for digit, size in zip(point, sizes):
         if not 0 <= digit < size:
             raise ValueError(f"digit {digit!r} out of range for alphabet size {size}")
         idx += digit * stride
+        stride *= size
     return idx
 
 
@@ -104,45 +97,48 @@ def point_at(sizes: tuple[int, ...], index: int) -> tuple[int, ...]:
     return tuple(point)
 
 
-@lru_cache(maxsize=None)
-def _position_groups(sizes: tuple[int, ...], pos: int) -> tuple[tuple[int, ...], ...]:
-    # All maximal index runs that differ only in the digit at `pos`.
-    stride = _strides(sizes)[pos - 1]
-    size = sizes[pos - 1]
-    total = math.prod(sizes)
-    groups = []
-    for base in range(total):
-        if (base // stride) % size == 0:
-            groups.append(tuple(base + v * stride for v in range(size)))
-    return tuple(groups)
+def _slab(table: Sequence[int], stride: int, size: int, v: int) -> Sequence[int]:
+    # The entries whose digit at `stride` (alphabet `size`) is v, in index
+    # order: the table of the remaining positions with that digit pinned.
+    if stride == 1:
+        return table[v::size]
+    out: list[int] = []
+    for base in range(v * stride, len(table), stride * size):
+        out += table[base:base + stride]
+    return out
 
 
-@lru_cache(maxsize=None)
-def _identify_map(sizes: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
-    # new_table[idx] = table[_identify_map[idx]]: digit i replaced by digit j.
-    si = _strides(sizes)[i - 1]
-    sj = _strides(sizes)[j - 1]
-    ai = sizes[i - 1]
-    aj = sizes[j - 1]
+def _interleave(slabs: Sequence[Sequence[int]], stride: int) -> list[int]:
+    # Inverse of _slab: slabs[v] becomes the entries with digit v at `stride`.
+    if stride == 1:
+        out = [0] * (len(slabs) * len(slabs[0]))
+        for v, slab in enumerate(slabs):
+            out[v::len(slabs)] = slab
+        return out
     out = []
-    for idx in range(math.prod(sizes)):
-        di = (idx // si) % ai
-        dj = (idx // sj) % aj
-        out.append(idx + (dj - di) * si)
-    return tuple(out)
+    for base in range(0, len(slabs[0]), stride):
+        for slab in slabs:
+            out += slab[base:base + stride]
+    return out
 
 
 def ess_bruteforce(f: FiniteFn) -> frozenset[int]:
     """Definitional essentiality: position k is essential when two points
     differing only at k get different values."""
-    ess = set()
+    # Within one block of stride*size entries, the entries at digit v of
+    # position k sit `stride` places before those at digit v+1, so k is
+    # inessential iff every block equals itself shifted by one digit.
     table = f.table
-    for pos in range(1, f.arity + 1):
-        for group in _position_groups(f.sizes, pos):
-            first = table[group[0]]
-            if any(table[g] != first for g in group[1:]):
-                ess.add(pos)
+    ess = []
+    stride = 1
+    for pos, size in enumerate(f.sizes, 1):
+        block = stride * size
+        shift = block - stride
+        for base in range(0, len(table), block):
+            if table[base:base + shift] != table[base + stride:base + block]:
+                ess.append(pos)
                 break
+        stride = block
     return frozenset(ess)
 
 
@@ -155,9 +151,14 @@ def identify_table(f: FiniteFn, i: int, j: int) -> FiniteFn:
         raise ValueError("identify needs two distinct positions")
     if f.sizes[i - 1] != f.sizes[j - 1]:
         raise ValueError("positions to identify must share an alphabet size")
-    idx_map = _identify_map(f.sizes, i, j)
-    table = f.table
-    return FiniteFn(f.sizes, f.codomain, tuple(table[q] for q in idx_map), f.labels)
+    size = f.sizes[i - 1]
+    si = math.prod(f.sizes[:i - 1])
+    # Stride of position j once position i is sliced away.
+    sj = math.prod(f.sizes[:j - 1]) // (size if j > i else 1)
+    diagonal = _interleave([_slab(_slab(f.table, si, size, v), sj, size, v)
+                            for v in range(size)], sj)
+    table = _interleave([diagonal] * size, si)
+    return FiniteFn(f.sizes, f.codomain, tuple(table), f.labels)
 
 
 @dataclass(frozen=True)
@@ -167,21 +168,23 @@ class GapReport:
     `essl` is the largest essential-variable count over all minors that
     identify one essential position with another (both orders tried);
     `gap` is `ess - essl` and is always at least 1, because the
-    identified position goes inessential in its minor.
+    identified position goes inessential in its minor. Below two
+    essential positions the gap is undefined and `essl` and `gap` are
+    None.
     """
 
     essential: frozenset[int]
     ess: int
-    essl: int
-    gap: int
+    essl: int | None
+    gap: int | None
 
 
 def gap_bruteforce(f: FiniteFn) -> GapReport:
-    """Compute the arity gap by exhausting identification minors."""
+    """Compute the essential positions and the arity gap, the latter by
+    exhausting identification minors."""
     ess = ess_bruteforce(f)
     if len(ess) < 2:
-        raise GapUndefinedError(
-            f"arity gap needs at least 2 essential variables, found {len(ess)}")
+        return GapReport(ess, len(ess), None, None)
     positions = sorted(ess)
     best = 0
     limit = len(ess) - 1
@@ -205,19 +208,15 @@ def reduce_table(f: FiniteFn) -> tuple[FiniteFn, tuple[int, ...]]:
     Returns the reduced function and the original positions kept, in
     increasing order (positions[t-1] is now position t).
     """
-    positions = tuple(sorted(ess_bruteforce(f)))
-    strides = _strides(f.sizes)
-    new_sizes = tuple(f.sizes[p - 1] for p in positions)
+    ess = ess_bruteforce(f)
     table = f.table
-    new = []
-    for ridx in range(math.prod(new_sizes)):
-        rest = ridx
-        idx = 0
-        for p, size in zip(positions, new_sizes):
-            idx += (rest % size) * strides[p - 1]
-            rest //= size
-        new.append(table[idx])
-    return FiniteFn(new_sizes, f.codomain, tuple(new), f.labels), positions
+    # Last position first, so the strides of the ones before stay valid.
+    for pos in range(f.arity, 0, -1):
+        if pos not in ess:
+            table = _slab(table, math.prod(f.sizes[:pos - 1]), f.sizes[pos - 1], 0)
+    positions = tuple(sorted(ess))
+    new_sizes = tuple(f.sizes[p - 1] for p in positions)
+    return FiniteFn(new_sizes, f.codomain, tuple(table), f.labels), positions
 
 
 def salomaa_function(k: int) -> FiniteFn:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 import string
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -133,10 +134,10 @@ def _toposort(above: list[set[int]], names: tuple[str, ...]) -> list[int]:
     for ups in above:
         for j in ups:
             indeg[j] += 1
-    queue = [i for i in range(n) if indeg[i] == 0]
+    queue = deque(i for i in range(n) if indeg[i] == 0)
     order: list[int] = []
     while queue:
-        i = queue.pop(0)
+        i = queue.popleft()
         order.append(i)
         for j in sorted(above[i]):
             indeg[j] -= 1

@@ -78,10 +78,10 @@ def _sweep(kind: str, params: dict, scanned_key: str, items: Iterable,
 def _table_check(classify: Callable[[FiniteFn], object],
                  render: Callable[[tuple[int, ...]], object]) -> Callable[[FiniteFn], Outcome]:
     def check(f: FiniteFn) -> Outcome:
-        if len(ess_bruteforce(f)) < 2:
+        actual = gap_bruteforce(f).gap
+        if actual is None:
             return None, None
         claimed = classify(f).gap
-        actual = gap_bruteforce(f).gap
         if claimed == actual and actual <= 2:
             return actual, None
         return actual, {"table": render(f.table),
@@ -114,14 +114,9 @@ def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
     def check(coeffs: tuple[int, ...]) -> Outcome:
         f = PolyFn(lattice, arity, coeffs)
         ess = essential_variables(f)
-        full = value_table(f)
-        if len(ess) >= 2:
-            claimed = classify_polynomial_gap(f).gap
-            report = gap_bruteforce(full)
-            actual, oracle_ess = report.gap, report.essential
-        else:
-            claimed = actual = None
-            oracle_ess = ess_bruteforce(full)
+        claimed = classify_polynomial_gap(f).gap if len(ess) >= 2 else None
+        report = gap_bruteforce(value_table(f))
+        actual, oracle_ess = report.gap, report.essential
         ess01 = ess_bruteforce(restrict_to_01(f))
         if claimed == actual and actual in (None, 1, 2) and oracle_ess == ess == ess01:
             return actual, None

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
-from latgap import Lattice
+from latgap import Lattice, point_index
 from latgap.terms import Const, Join, Meet, Term, Var
 
 M3_NAMES = ("0", "x", "y", "z", "1")
@@ -73,3 +74,43 @@ def essential_by_full_scan(lattice: Lattice, arity: int, fn) -> set[int]:
         if found:
             continue
     return ess
+
+
+def _points(sizes: tuple[int, ...]):
+    return itertools.product(*(range(a) for a in sizes))
+
+
+def essential_by_points(sizes: tuple[int, ...], table) -> set[int]:
+    """Positions k where changing only digit k of some point changes the
+    value, found by trying every digit at every point."""
+    ess = set()
+    for point in _points(sizes):
+        value = table[point_index(sizes, point)]
+        for k, size in enumerate(sizes):
+            for digit in range(size):
+                other = point[:k] + (digit,) + point[k + 1:]
+                if table[point_index(sizes, other)] != value:
+                    ess.add(k + 1)
+    return ess
+
+
+def identify_by_points(sizes: tuple[int, ...], table, i: int, j: int) -> tuple:
+    """The table of the minor whose digit i is replaced by digit j."""
+    out = [None] * len(table)
+    for point in _points(sizes):
+        source = list(point)
+        source[i - 1] = point[j - 1]
+        out[point_index(sizes, point)] = table[point_index(sizes, source)]
+    return tuple(out)
+
+
+def reduce_by_points(sizes: tuple[int, ...], table, keep: tuple[int, ...]) -> tuple:
+    """The table over the positions in `keep`, every other digit at 0."""
+    kept_sizes = tuple(sizes[p - 1] for p in keep)
+    out = [None] * math.prod(kept_sizes)
+    for sub in _points(kept_sizes):
+        point = [0] * len(sizes)
+        for p, digit in zip(keep, sub):
+            point[p - 1] = digit
+        out[point_index(kept_sizes, sub)] = table[point_index(sizes, point)]
+    return tuple(out)

@@ -252,3 +252,47 @@ def test_classify_imports_no_oracle_code():
         elif isinstance(node, ast.ImportFrom) and "finfun" in (node.module or ""):
             names = {alias.name for alias in node.names}
             assert names <= {"FiniteFn", "GapUndefinedError"}, names
+
+
+def _ref_name(node: ast.AST) -> str | None:
+    # `name` for a bare reference, `attr` for `module.attr`.
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _unbounded_caches(source: str) -> list[int]:
+    """Lines using functools.cache, or lru_cache without an explicit
+    integer maxsize."""
+    tree = ast.parse(source)
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _ref_name(node.func) == "lru_cache":
+            size = next((kw.value for kw in node.keywords if kw.arg == "maxsize"),
+                        node.args[0] if node.args else None)
+            if isinstance(size, ast.Constant) and type(size.value) is int:
+                bounded.add(node.func)
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            bad += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if _ref_name(node.value) == "functools":
+                bad.append(node.lineno)
+        elif _ref_name(node) == "lru_cache" and node not in bounded:
+            bad.append(node.lineno)
+    return bad
+
+
+def test_memo_caches_are_bounded():
+    samples = {
+        "@lru_cache\ndef f(): pass": [1],
+        "@lru_cache(maxsize=None)\ndef f(): pass": [1],
+        "@functools.lru_cache()\ndef f(): pass": [1],
+        "@functools.cache\ndef f(): pass": [1],
+        "from functools import cache": [1],
+        "@lru_cache(maxsize=256)\ndef f(): pass": [],
+        "@functools.lru_cache(64)\ndef f(): pass": [],
+    }
+    for source, lines in samples.items():
+        assert _unbounded_caches(source) == lines, source
+    for path in Path(latgap.classify.__file__).parent.glob("*.py"):
+        assert _unbounded_caches(path.read_text()) == [], path.name

@@ -202,7 +202,7 @@ def test_bool_analyze_and_table(capsys):
     assert rc == 0
     assert payload["polynomial"] == "x1x2"
     assert payload["gap"] == 1
-    assert payload["oracle"] == {"gap": 1}
+    assert payload["oracle"] == {"essential": [1, 2], "gap": 1}
 
 
 def test_bool_analyze_one_essential(capsys):

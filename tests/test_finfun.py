@@ -1,15 +1,18 @@
 from __future__ import annotations
 
 import itertools
+import math
+import random
 
 import pytest
 
-from latgap import (EnumerationBudgetError, FiniteFn, GapUndefinedError,
-                    chain, enumerate_all_functions, enumerate_monotone_maps,
+from latgap import (EnumerationBudgetError, FiniteFn, chain,
+                    enumerate_all_functions, enumerate_monotone_maps,
                     ess_bruteforce, format_finite_fn, gap_bruteforce,
-                    identify_table, parse_finite_fn, reduce_table,
+                    identify_table, parse_finite_fn, point_at, reduce_table,
                     salomaa_function)
-from helpers import monotone_tables_by_filter
+from helpers import (essential_by_points, identify_by_points,
+                     monotone_tables_by_filter, reduce_by_points)
 
 XOR = FiniteFn((2, 2), 2, (0, 1, 1, 0))
 AND = FiniteFn((2, 2), 2, (0, 0, 0, 1))
@@ -59,10 +62,12 @@ def test_gap_examples():
 
 
 def test_gap_undefined_below_two_essential():
-    with pytest.raises(GapUndefinedError, match="found 1"):
-        gap_bruteforce(FiniteFn((2, 2), 2, (0, 1, 0, 1)))
-    with pytest.raises(GapUndefinedError, match="found 0"):
-        gap_bruteforce(FiniteFn((2, 2), 2, (1, 1, 1, 1)))
+    report = gap_bruteforce(FiniteFn((2, 2), 2, (0, 1, 0, 1)))
+    assert report.essential == {1} and report.ess == 1
+    assert report.gap is None and report.essl is None
+    report = gap_bruteforce(FiniteFn((2, 2), 2, (1, 1, 1, 1)))
+    assert report.essential == frozenset() and report.ess == 0
+    assert report.gap is None and report.essl is None
 
 
 def test_gap_bounded_by_alphabet_size():
@@ -94,6 +99,36 @@ def test_reduce_table_keeps_values():
     assert reduced.sizes == (3,)
     assert reduced.table == (3, 1, 0)
     assert reduced.codomain == 4
+
+
+def test_stride_arithmetic_matches_point_reference():
+    # Random tables over mixed alphabets that ignore some planted
+    # positions, checked against references that walk point tuples.
+    rng = random.Random(2009)
+    for sizes, _ in itertools.product([(2, 3, 3), (3, 2, 3, 2), (3, 3, 2, 3)], range(40)):
+        n = len(sizes)
+        used = [k for k in range(n) if rng.random() < 0.6]
+        values = {}
+        table = []
+        for idx in range(math.prod(sizes)):
+            point = point_at(sizes, idx)
+            key = tuple(point[k] for k in used)
+            table.append(values.setdefault(key, rng.randrange(3)))
+        f = FiniteFn(sizes, 3, tuple(table))
+        ess = essential_by_points(sizes, f.table)
+        assert ess <= {k + 1 for k in used}
+        assert ess_bruteforce(f) == ess
+        keep = tuple(sorted(ess))
+        reduced, positions = reduce_table(f)
+        assert positions == keep
+        assert reduced.sizes == tuple(sizes[p - 1] for p in keep)
+        assert reduced.table == reduce_by_points(sizes, f.table, keep)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j and sizes[i - 1] == sizes[j - 1]:
+                    minor = identify_table(f, i, j)
+                    assert minor.sizes == f.sizes
+                    assert minor.table == identify_by_points(sizes, f.table, i, j)
 
 
 def test_salomaa_function_shape():
