@@ -296,11 +296,14 @@ def classify_polynomial_gap(f: PolyFn) -> Gap1 | TruncatedMedian:
     """Decide the arity gap of a lattice polynomial function in closed form.
 
     Needs at least two essential variables. Truncated medians have gap
-    2; every other polynomial function has gap 1.
+    2; every other polynomial function has gap 1. A truncated median
+    has exactly three essential variables, so the truncated-median test
+    (which builds the reduced function) runs only on those.
     """
-    if len(essential_variables(f)) < 2:
+    ess = len(essential_variables(f))
+    if ess < 2:
         raise GapUndefinedError("arity gap needs at least 2 essential variables")
-    pair = is_truncated_median(f)
+    pair = is_truncated_median(f) if ess == 3 else None
     if pair is not None:
         return TruncatedMedian(pair[0], pair[1])
     return Gap1()

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .finfun import FiniteFn
+from .finfun import DEFAULT_BUDGET, EnumerationBudgetError, FiniteFn
 from .lattice import Elem, Lattice
 
 if TYPE_CHECKING:
@@ -187,28 +187,40 @@ def _eval_indices(f: PolyFn, point: Sequence[int]) -> int:
 def value_table(f: PolyFn) -> FiniteFn:
     """Dense table of f over all of L^n, as a FiniteFn.
 
-    Built by splitting on the last variable: f = A or (x_n and B), where
-    A and B take the coefficients without/with position n. Agrees with
-    eval_dnf at every point.
+    One pass per variable, slowest coefficient bit first. A pass splits
+    the table into halves A and B (that bit clear and set), so that
+    f = A or (x and B) on that variable x, and writes A or (v and B) for
+    each element v as the new fastest digit; the row for v = bottom is A
+    itself. After n passes position 1 is the fastest digit again, the
+    little-endian point order. Each pass moves one variable from the
+    coefficient side to the point side; since meet distributes over
+    join, the variables do not interact and the pass order does not
+    change the result. Agrees with eval_dnf at every point.
+
+    Raises EnumerationBudgetError, before allocating, when |L|^n exceeds
+    finfun.DEFAULT_BUDGET entries.
     """
     lat = f.lattice
     k = lat.size
+    if k ** f.arity > DEFAULT_BUDGET:
+        raise EnumerationBudgetError(
+            f"a value table of {k}^{f.arity} entries exceeds the budget "
+            f"of {DEFAULT_BUDGET}")
     meet_t, join_t = lat._meet, lat._join
-
-    def build(coeffs: tuple[int, ...]) -> list[int]:
-        if len(coeffs) == 1:
-            return [coeffs[0]]
-        half = len(coeffs) // 2
-        low = build(coeffs[:half])
-        high = build(coeffs[half:])
-        out: list[int] = []
+    bottom = lat.bottom_index
+    table = f.table
+    for _ in range(f.arity):
+        half = len(table) // 2
+        low, high = table[:half], table[half:]
+        out = [0] * (k * half)
+        out[bottom::k] = low
         for v in range(k):
-            mt = meet_t[v]
-            out.extend(join_t[a][mt[b]] for a, b in zip(low, high))
-        return out
-
+            if v != bottom:
+                mt = meet_t[v]
+                out[v::k] = [join_t[a][mt[b]] for a, b in zip(low, high)]
+        table = out
     return FiniteFn(sizes=(k,) * f.arity, codomain=k,
-                    table=tuple(build(f.table)), labels=lat.names)
+                    table=tuple(table), labels=lat.names)
 
 
 def essential_variables(f: PolyFn | FiniteFn) -> frozenset[int]:

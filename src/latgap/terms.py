@@ -8,7 +8,10 @@ Grammar (``&`` binds tighter than ``|``; both left-associative)::
 
 Variables are ``x1`` .. ``xn`` for the declared arity; any other word is
 looked up as an element name of the declared lattice. The Unicode
-operators are accepted as aliases for ``&`` and ``|``.
+operators are accepted as aliases for ``&`` and ``|``. A parsed tree
+may be at most MAX_TERM_DEPTH levels deep, where every parenthesis
+pair and every operator counts one level (so a flat chain of n
+operands is n - 1 levels deep).
 """
 
 from __future__ import annotations
@@ -83,6 +86,8 @@ class Term:
         return self.root.eval_indices(point, self.lattice._meet, self.lattice._join)
 
 
+MAX_TERM_DEPTH = 200
+
 _WORD = re.compile(r"[A-Za-z0-9_]+")
 _VAR = re.compile(r"x([0-9]+)\Z")
 _ALIASES = {"∧": "&", "∨": "|"}
@@ -109,43 +114,66 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent that also measures the tree it builds.
+
+    Each method returns a node with its depth: 0 for a variable or a
+    constant, one more than the deeper operand for a meet or a join, and
+    one more than the inside for a parenthesised expression. Past
+    MAX_TERM_DEPTH the parse stops with a ParseError, so neither the
+    parser nor a later evaluation recurses without bound. An opening
+    parenthesis is checked before the parser descends into it.
+    """
+
     def __init__(self, tokens, arity: int, lattice: Lattice, length: int):
         self.tokens = tokens
         self.pos = 0
         self.arity = arity
         self.lattice = lattice
         self.length = length
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def expr(self) -> Node:
-        node = self.term()
+    @staticmethod
+    def deeper(depth: int, at: int) -> int:
+        if depth > MAX_TERM_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_TERM_DEPTH} levels", at)
+        return depth
+
+    def expr(self) -> tuple[Node, int]:
+        node, depth = self.term()
         while (tok := self.peek()) and tok[0] == "|":
             self.pos += 1
-            node = Join(node, self.term())
-        return node
+            right, right_depth = self.term()
+            node = Join(node, right)
+            depth = self.deeper(max(depth, right_depth) + 1, tok[2])
+        return node, depth
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self) -> tuple[Node, int]:
+        node, depth = self.factor()
         while (tok := self.peek()) and tok[0] == "&":
             self.pos += 1
-            node = Meet(node, self.factor())
-        return node
+            right, right_depth = self.factor()
+            node = Meet(node, right)
+            depth = self.deeper(max(depth, right_depth) + 1, tok[2])
+        return node, depth
 
-    def factor(self) -> Node:
+    def factor(self) -> tuple[Node, int]:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of expression", self.length)
         kind, text, at = tok
         if kind == "(":
+            self.nesting = self.deeper(self.nesting + 1, at)
             self.pos += 1
-            node = self.expr()
+            node, depth = self.expr()
             closing = self.peek()
             if closing is None or closing[0] != ")":
                 raise ParseError("missing ')'", closing[2] if closing else self.length)
             self.pos += 1
-            return node
+            self.nesting -= 1
+            return node, self.deeper(depth + 1, at)
         if kind == "word":
             self.pos += 1
             m = _VAR.match(text)
@@ -155,9 +183,9 @@ class _Parser:
                     raise ParseError("variable index must be at least 1", at)
                 if idx > self.arity:
                     raise ParseError(f"variable x{idx} exceeds arity {self.arity}", at)
-                return Var(idx)
+                return Var(idx), 0
             try:
-                return Const(self.lattice.element(text))
+                return Const(self.lattice.element(text)), 0
             except LatticeError:
                 raise ParseError(f"unknown constant {text!r}", at) from None
         raise ParseError(f"unexpected {text!r}", at)
@@ -171,7 +199,7 @@ def parse_expr(text: str, arity: int, lattice: Lattice) -> Term:
     if not tokens:
         raise ParseError("empty expression", 0)
     parser = _Parser(tokens, arity, lattice, len(text))
-    node = parser.expr()
+    node, _ = parser.expr()
     if (extra := parser.peek()) is not None:
         raise ParseError(f"unexpected {extra[1]!r}", extra[2])
     return Term(node, arity, lattice)

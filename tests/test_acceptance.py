@@ -104,6 +104,21 @@ def test_criterion_3_lattice_sweep_matches_oracle():
           f"({total} functions, 0 disagreements, slowest lattice {slowest:.1f}s)")
 
 
+def test_criterion_3_arity_four_sweeps_pinned():
+    # Arity 4 reaches functions with four essential variables. The gap-2
+    # counts are the strict pairs low < high times C(4,3) placements:
+    # one pair on chain2, three on chain3.
+    expected = {"chain2": (168, 162, {1: 158, 2: 4}),
+                "chain3": (7581, 7566, {1: 7554, 2: 12})}
+    for name, (scanned, analyzed, gaps) in expected.items():
+        r = sweep_gap_theorem(name, builtin_lattice(name), 4)
+        assert r.ok, f"{name}: counterexample {r.counterexample}"
+        assert (r.scanned, r.analyzed, r.gap_counts) == (scanned, analyzed, gaps)
+        assert r.elapsed < 60, f"{name}: {r.elapsed:.1f}s"
+    print("PASS criterion 3 (arity 4): chain2 and chain3 sweeps match the "
+          "oracle with pinned counts")
+
+
 def test_criterion_4_essentiality_criteria_agree():
     # The gap-theorem check compares all three criteria on every map,
     # including those with fewer than 2 essential variables.

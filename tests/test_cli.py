@@ -171,6 +171,30 @@ def test_analyze_bad_expression(capsys):
     assert "position" in err
 
 
+def test_analyze_verify_checks_table_size(capsys):
+    argv = ["analyze", "--lattice", "chain40", "--arity", "5", "--expr", "x1 & x2"]
+    rc, out, err = run(capsys, argv + ["--verify"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exceeds the budget" in err
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert "essential: [1, 2]" in out
+
+
+def test_deep_expressions_are_rejected(capsys):
+    nested = "(" * 340 + "x1" + ")" * 340
+    chained = " | ".join(["x1"] * 1000)
+    for arity, expr in (("1", nested), ("2", chained)):
+        rc, out, err = run(capsys, ["analyze", "--lattice", "chain3",
+                                    "--arity", arity, "--expr", expr])
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: expression nests deeper than 200 levels")
+        assert err.count("\n") == 1
+
+
 def test_analyze_unknown_lattice(capsys):
     rc, _, err = run(capsys, ["analyze", "--lattice", "nosuch",
                               "--arity", "2", "--expr", "x1"])

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from latgap import (MonotonicityError, PolyFn, canonicalize,
-                    characteristic_vector, chain, equivalent, essential_variables,
-                    eval_dnf, from_monotone_table, identify, parse_expr,
+from latgap import (EnumerationBudgetError, MonotonicityError, PolyFn,
+                    canonicalize, characteristic_vector, chain, equivalent,
+                    essential_variables, eval_dnf, from_monotone_table,
+                    identify, lattice_from_covers, parse_expr,
                     reduce_to_essential, restrict_to_01, simple_substitution,
                     value_table)
 from latgap.finfun import ess_bruteforce, point_at
@@ -195,17 +196,48 @@ def test_restrict_essentiality_agreement(c4):
         assert ess_bruteforce(restrict_to_01(f)) == essential_variables(f)
 
 
+def random_monotone_table(rng: random.Random, n: int, lat) -> tuple[int, ...]:
+    """A seeded monotone coefficient table: each coefficient is drawn
+    among the elements above the join of its immediate sub-subsets."""
+    els = lat.elements
+    table: list[int] = []
+    for mask in range(1 << n):
+        floor = lat.bottom
+        for k in range(n):
+            if (mask >> k) & 1:
+                floor = lat.join(floor, els[table[mask ^ (1 << k)]])
+        table.append(rng.choice([e.index for e in els if lat.leq(floor, e)]))
+    return tuple(table)
+
+
 def test_value_table_matches_eval(c3, c4, rect23):
     rng = random.Random(7130)
     fns = [med(c3),
            canonicalize(parse_expr(f"(a | ({MEDIAN})) & b", 3, c4))]
     fns += [canonicalize(random_term(rng, 3, 5, rect23)) for _ in range(5)]
+    # Names listed top first, so the bottom row that value_table copies
+    # sits at index 4, not 0.
+    top_first = lattice_from_covers(
+        ("1", "b", "a", "c", "0"),
+        (("0", "a"), ("a", "b"), ("0", "c"), ("c", "b"), ("b", "1")))
+    assert top_first.bottom_index == 4
+    fns += [canonicalize(random_term(rng, 3, 5, top_first)) for _ in range(5)]
+    fns += [PolyFn(lat, 0, (v,)) for lat in (c3, top_first) for v in range(lat.size)]
+    fns += [PolyFn(top_first, 1, (4, v)) for v in range(5)]
+    fns += [PolyFn(top_first, 1, (2, 0)), PolyFn(c4, 1, (1, 3))]
+    fns += [PolyFn(rect23, 4, random_monotone_table(rng, 4, rect23)) for _ in range(12)]
     for f in fns:
         vt = value_table(f)
         lat = f.lattice
         for idx in range(len(vt.table)):
             point = tuple(lat.elements[d] for d in point_at(vt.sizes, idx))
             assert vt.table[idx] == eval_dnf(f, point).index
+
+
+def test_value_table_checks_its_size_first():
+    f = canonicalize(parse_expr("x1 & x2", 5, chain(40)))
+    with pytest.raises(EnumerationBudgetError, match="40\\^5 entries"):
+        value_table(f)
 
 
 def test_equivalent_up_to_renaming_and_padding(c2):

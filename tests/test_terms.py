@@ -7,7 +7,7 @@ import pytest
 
 from latgap import (LatticeError, ParseError, canonicalize, chain,
                     eval_term, format_dnf, from_monotone_table, parse_expr)
-from latgap.terms import Const, Join, Meet, Var
+from latgap.terms import MAX_TERM_DEPTH, Const, Join, Meet, Var
 from helpers import monotone_tables_by_filter, random_term
 
 MEDIAN = "(x1 & x2) | (x2 & x3) | (x3 & x1)"
@@ -69,6 +69,20 @@ def test_parse_error_positions(c3):
         parse_expr(") x1", 2, c3)
     with pytest.raises(ParseError, match="empty expression"):
         parse_expr("   ", 2, c3)
+
+
+def test_deep_nesting_within_the_cap(c3):
+    term = parse_expr("(" * 150 + "x1 & (x2 | a)" + ")" * 150, 2, c3)
+    assert term.root == Meet(Var(1), Join(Var(2), Const(c3.element("a"))))
+    for x, y in itertools.product(c3.elements, repeat=2):
+        assert eval_term(term, (x, y)) == c3.meet(x, c3.join(y, c3.element("a")))
+    # Every parenthesis pair and every operator is one level.
+    parse_expr("(" * MAX_TERM_DEPTH + "x1" + ")" * MAX_TERM_DEPTH, 1, c3)
+    parse_expr(" | ".join(["x1"] * (MAX_TERM_DEPTH + 1)), 1, c3)
+    for text in ("(" * MAX_TERM_DEPTH + "x1 & x1" + ")" * MAX_TERM_DEPTH,
+                 " & ".join(["x1"] * (MAX_TERM_DEPTH + 2))):
+        with pytest.raises(ParseError, match="deeper than 200 levels"):
+            parse_expr(text, 1, c3)
 
 
 def test_variable_index_errors(c3):
