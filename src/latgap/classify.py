@@ -257,7 +257,7 @@ def classify_pseudo_boolean_gap(f: FiniteFn) -> Gap1 | PseudoBooleanCase:
     image = sorted(set(f.table))
     if len(image) == 2:
         for g0, g1 in (tuple(image), tuple(reversed(image))):
-            h = FiniteFn(f.sizes, 2, tuple(0 if v == g0 else 1 for v in f.table))
+            h = FiniteFn(f.sizes, 2, bytes(0 if v == g0 else 1 for v in f.table))
             verdict = classify_boolean_gap(h)
             if verdict.gap == 2:
                 cases.append(2)

@@ -119,7 +119,7 @@ def _bool_fn_from_args(ns) -> FiniteFn:
         n = (len(bits) - 1).bit_length()
         if len(bits) != 1 << n or len(bits) < 2:
             raise ValueError(f"table length {len(bits)} is not a power of two >= 2")
-        return FiniteFn((2,) * n, 2, tuple(int(ch) for ch in bits))
+        return FiniteFn((2,) * n, 2, bytes(int(ch) for ch in bits))
     f = parse_finite_fn(Path(ns.file).read_text())
     if any(a != 2 for a in f.sizes) or f.codomain != 2:
         raise ValueError("the table file must hold a Boolean function (sizes 2 2)")

@@ -9,12 +9,22 @@ variables.
 
 Points are encoded little-endian: position 1 is the fastest-moving
 digit of the table index, so the digit of position k repeats in runs of
-stride_k = |A_1|...|A_{k-1}| entries. Tables are read through slices of
-those runs, computed afresh on each call; no index tables are memoised.
+stride_k = |A_1|...|A_{k-1}| entries. A table is a `bytes` object, one
+byte per entry, so a codomain has at most MAX_CODOMAIN = 256 values and
+the inner loops run in C: minors are built from slices of those runs,
+and values are checked with one `bytes.translate`.
+
+Essentiality reads the whole table as one big-endian integer T, entry 0
+in the most significant byte. Shifting T left by 8*stride_k bits lines
+every entry up with the entry one digit higher at position k, so k is
+inessential exactly when ((T << 8*stride_k) ^ T) vanishes on the
+entries whose digit at k is not the last. Those byte masks are the only
+memoised data, in a bounded cache keyed on the alphabet sizes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -34,34 +44,64 @@ class EnumerationBudgetError(ValueError):
 
 DEFAULT_BUDGET = 10_000_000
 
+# A table stores one value per byte.
+MAX_CODOMAIN = 256
+
+# _BYTES[:c] lists the values of a codomain of c values; deleting them
+# from a table leaves the values outside it.
+_BYTES = bytes(range(MAX_CODOMAIN))
+
+
+def _check_codomain(codomain: int) -> None:
+    if codomain > MAX_CODOMAIN:
+        raise ValueError(f"codomain of {codomain} values exceeds the bound of "
+                         f"{MAX_CODOMAIN} (one byte per table entry)")
+
+
+def _as_bytes(values: Sequence[int]) -> bytes:
+    # Through an iterator: bytes() of an int n makes n zero bytes, and of
+    # a buffer with wider items it copies raw memory.
+    try:
+        return bytes(iter(values))
+    except (TypeError, ValueError):
+        bad = next(v for v in values if not isinstance(v, int) or not 0 <= v < 256)
+        raise ValueError(f"value {bad!r} out of codomain range") from None
+
 
 @dataclass(frozen=True)
 class FiniteFn:
     """A total function between finite sets, as a dense value table.
 
     `sizes[k-1]` is the alphabet size of position k, `codomain` the
-    number of output labels, and `table[i]` the value at the point with
-    little-endian mixed-radix index i. `labels` is optional display text
-    for the codomain and never takes part in equality.
+    number of output labels (at most MAX_CODOMAIN), and `table[i]` the
+    value at the point with little-endian mixed-radix index i. `table`
+    may be given as any sequence of ints and is stored as `bytes`.
+    `labels` is optional display text for the codomain and never takes
+    part in equality.
     """
 
     sizes: tuple[int, ...]
     codomain: int
-    table: tuple[int, ...]
+    table: bytes
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.codomain, int) or self.codomain < 1:
+            raise ValueError("codomain size must be at least 1")
+        _check_codomain(self.codomain)
         for a in self.sizes:
             if not isinstance(a, int) or a < 2:
                 raise ValueError(f"alphabet sizes must be at least 2, got {a!r}")
-        if not isinstance(self.codomain, int) or self.codomain < 1:
-            raise ValueError("codomain size must be at least 1")
-        if len(self.table) != math.prod(self.sizes):
+        table = self.table
+        if type(table) is not bytes:
+            table = _as_bytes(table)
+            object.__setattr__(self, "table", table)
+        if len(table) != math.prod(self.sizes):
             raise ValueError(
-                f"table has {len(self.table)} entries, expected {math.prod(self.sizes)}")
-        for v in self.table:
-            if not isinstance(v, int) or not 0 <= v < self.codomain:
-                raise ValueError(f"value {v!r} out of codomain range")
+                f"table has {len(table)} entries, expected {math.prod(self.sizes)}")
+        if table.translate(None, _BYTES[:self.codomain]):
+            bad = next(v for v in table if v >= self.codomain)
+            raise ValueError(f"value {bad!r} out of codomain range")
         if self.labels is not None and len(self.labels) != self.codomain:
             raise ValueError("labels must cover the codomain exactly")
 
@@ -97,48 +137,48 @@ def point_at(sizes: tuple[int, ...], index: int) -> tuple[int, ...]:
     return tuple(point)
 
 
-def _slab(table: Sequence[int], stride: int, size: int, v: int) -> Sequence[int]:
+def _slab(table: bytes, stride: int, size: int, v: int) -> bytes:
     # The entries whose digit at `stride` (alphabet `size`) is v, in index
     # order: the table of the remaining positions with that digit pinned.
     if stride == 1:
         return table[v::size]
-    out: list[int] = []
-    for base in range(v * stride, len(table), stride * size):
-        out += table[base:base + stride]
-    return out
+    return b"".join([table[base:base + stride]
+                     for base in range(v * stride, len(table), stride * size)])
 
 
-def _interleave(slabs: Sequence[Sequence[int]], stride: int) -> list[int]:
+def _interleave(slabs: Sequence[bytes], stride: int) -> bytes:
     # Inverse of _slab: slabs[v] becomes the entries with digit v at `stride`.
     if stride == 1:
-        out = [0] * (len(slabs) * len(slabs[0]))
+        out = bytearray(len(slabs) * len(slabs[0]))
         for v, slab in enumerate(slabs):
             out[v::len(slabs)] = slab
-        return out
-    out = []
-    for base in range(0, len(slabs[0]), stride):
-        for slab in slabs:
-            out += slab[base:base + stride]
-    return out
+        return bytes(out)
+    return b"".join([slab[base:base + stride]
+                     for base in range(0, len(slabs[0]), stride) for slab in slabs])
+
+
+@functools.lru_cache(maxsize=128)
+def _not_last_digit(sizes: tuple[int, ...], pos: int) -> int:
+    # 0xff on every entry whose digit at `pos` is not the last, as a
+    # big-endian integer the length of the table.
+    stride = math.prod(sizes[:pos - 1])
+    block = stride * sizes[pos - 1]
+    pattern = b"\xff" * (block - stride) + bytes(stride)
+    return int.from_bytes(pattern * (math.prod(sizes) // block), "big")
 
 
 def ess_bruteforce(f: FiniteFn) -> frozenset[int]:
     """Definitional essentiality: position k is essential when two points
     differing only at k get different values."""
-    # Within one block of stride*size entries, the entries at digit v of
-    # position k sit `stride` places before those at digit v+1, so k is
-    # inessential iff every block equals itself shifted by one digit.
-    table = f.table
+    # Points one digit apart at k sit stride_k entries apart; comparing
+    # every such pair covers all pairs that differ only at k.
+    t = int.from_bytes(f.table, "big")
     ess = []
     stride = 1
     for pos, size in enumerate(f.sizes, 1):
-        block = stride * size
-        shift = block - stride
-        for base in range(0, len(table), block):
-            if table[base:base + shift] != table[base + stride:base + block]:
-                ess.append(pos)
-                break
-        stride = block
+        if ((t << 8 * stride) ^ t) & _not_last_digit(f.sizes, pos):
+            ess.append(pos)
+        stride *= size
     return frozenset(ess)
 
 
@@ -158,7 +198,7 @@ def identify_table(f: FiniteFn, i: int, j: int) -> FiniteFn:
     diagonal = _interleave([_slab(_slab(f.table, si, size, v), sj, size, v)
                             for v in range(size)], sj)
     table = _interleave([diagonal] * size, si)
-    return FiniteFn(f.sizes, f.codomain, tuple(table), f.labels)
+    return FiniteFn(f.sizes, f.codomain, table, f.labels)
 
 
 @dataclass(frozen=True)
@@ -208,7 +248,11 @@ def reduce_table(f: FiniteFn) -> tuple[FiniteFn, tuple[int, ...]]:
     Returns the reduced function and the original positions kept, in
     increasing order (positions[t-1] is now position t).
     """
-    ess = ess_bruteforce(f)
+    return _reduce_to(f, ess_bruteforce(f))
+
+
+def _reduce_to(f: FiniteFn, ess: frozenset[int]) -> tuple[FiniteFn, tuple[int, ...]]:
+    # reduce_table for the essential positions `ess`, already known.
     table = f.table
     # Last position first, so the strides of the ones before stay valid.
     for pos in range(f.arity, 0, -1):
@@ -216,7 +260,7 @@ def reduce_table(f: FiniteFn) -> tuple[FiniteFn, tuple[int, ...]]:
             table = _slab(table, math.prod(f.sizes[:pos - 1]), f.sizes[pos - 1], 0)
     positions = tuple(sorted(ess))
     new_sizes = tuple(f.sizes[p - 1] for p in positions)
-    return FiniteFn(new_sizes, f.codomain, tuple(table), f.labels), positions
+    return FiniteFn(new_sizes, f.codomain, table, f.labels), positions
 
 
 def salomaa_function(k: int) -> FiniteFn:
@@ -233,9 +277,9 @@ def salomaa_function(k: int) -> FiniteFn:
         raise ValueError("table size k**k is unreasonable beyond k = 8")
     total = k ** k
     special = sum(t * k ** t for t in range(k))
-    table = [0] * total
+    table = bytearray(total)
     table[special] = 1
-    return FiniteFn((k,) * k, k, tuple(table))
+    return FiniteFn((k,) * k, k, bytes(table))
 
 
 def enumerate_monotone_maps(n: int, lattice: "Lattice") -> Iterator[tuple[int, ...]]:
@@ -278,10 +322,13 @@ def enumerate_all_functions(n: int, a: int, b: int,
                             budget: int = DEFAULT_BUDGET) -> Iterator[FiniteFn]:
     """Yield all b**(a**n) functions from {0..a-1}^n to {0..b-1}.
 
-    Raises EnumerationBudgetError up front when the count exceeds the
-    budget. The order is deterministic (the last table entry varies
-    fastest) and every function appears exactly once.
+    Checks its arguments when called, before the first function is
+    drawn: a codomain above MAX_CODOMAIN raises ValueError, and a count
+    above the budget EnumerationBudgetError. The order is deterministic
+    (the last table entry varies fastest) and every function appears
+    exactly once.
     """
+    _check_codomain(b)
     if not isinstance(n, int) or n < 0:
         raise ValueError("arity must be a nonnegative int")
     if a < 2 or b < 2:
@@ -292,8 +339,8 @@ def enumerate_all_functions(n: int, a: int, b: int,
         raise EnumerationBudgetError(
             f"{total} functions exceed the budget of {budget}")
     sizes = (a,) * n
-    for tab in itertools.product(range(b), repeat=points):
-        yield FiniteFn(sizes, b, tab)
+    return (FiniteFn(sizes, b, bytes(tab))
+            for tab in itertools.product(range(b), repeat=points))
 
 
 def format_finite_fn(f: FiniteFn) -> str:
@@ -319,6 +366,7 @@ def parse_finite_fn(text: str) -> FiniteFn:
         raise ValueError(f"bad header {' '.join(tokens[:3])!r}") from None
     if n < 1 or a < 2 or b < 2:
         raise ValueError(f"bad header values arity={n} a_size={a} b_size={b}")
+    _check_codomain(b)
     body = tokens[3:]
     if len(body) != a ** n:
         raise ValueError(f"expected {a ** n} values, got {len(body)}")
@@ -331,4 +379,4 @@ def parse_finite_fn(text: str) -> FiniteFn:
         if not 0 <= v < b:
             raise ValueError(f"value {v} out of range 0..{b - 1}")
         values.append(v)
-    return FiniteFn((a,) * n, b, tuple(values))
+    return FiniteFn((a,) * n, b, bytes(values))

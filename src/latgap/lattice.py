@@ -7,7 +7,9 @@ any presentation that is not a bounded distributive lattice (so M3 and
 N5 never get through; the error message carries a witness triple).
 
 All query operations are lookups into immutable tables, so a Lattice
-and its elements are safe for unrestricted concurrent reads.
+and its elements are safe for unrestricted concurrent reads. The one
+table filled lazily, for value tables, is computed whole and then
+stored, so a race only computes it twice.
 """
 
 from __future__ import annotations
@@ -60,11 +62,12 @@ class Lattice:
 
     - ``_up[i]`` / ``_down[i]``: bitmask of ``{j: i <= j}`` / ``{j: j <= i}``
     - ``_meet[i][j]`` / ``_join[i][j]``: index-level operation tables
+    - ``_pair_rows()``: byte translation tables for packed pairs
     """
 
     __slots__ = ("names", "size", "bottom_index", "top_index",
                  "_index", "_up", "_down", "_meet", "_join",
-                 "_cover_pairs", "_elems")
+                 "_cover_pairs", "_elems", "_pair_rows_cache")
 
     def __init__(self, names, up, down, meet, join, bottom, top, cover_pairs):
         self.names: tuple[str, ...] = names
@@ -78,6 +81,19 @@ class Lattice:
         self.top_index: int = top
         self._cover_pairs = cover_pairs
         self._elems = tuple(Elem(self, i) for i in range(self.size))
+        self._pair_rows_cache: tuple[bytes, ...] | None = None
+
+    def _pair_rows(self) -> tuple[bytes, ...]:
+        """For |L| = k <= 16: row v is a `bytes.translate` table taking the
+        byte a*k + b (a pair of element indices) to join(a, meet(v, b)).
+        Built on first use and kept."""
+        if self._pair_rows_cache is None:
+            k = self.size
+            join_t = self._join
+            self._pair_rows_cache = tuple(
+                bytes([join_t[a][mt[b]] for a in range(k) for b in range(k)]).ljust(256, b"\0")
+                for mt in self._meet)
+        return self._pair_rows_cache
 
     def __len__(self) -> int:
         return self.size

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .finfun import DEFAULT_BUDGET, EnumerationBudgetError, FiniteFn
+from .finfun import DEFAULT_BUDGET, MAX_CODOMAIN, EnumerationBudgetError, FiniteFn
 from .lattice import Elem, Lattice
 
 if TYPE_CHECKING:
@@ -197,8 +197,16 @@ def value_table(f: PolyFn) -> FiniteFn:
     join, the variables do not interact and the pass order does not
     change the result. Agrees with eval_dnf at every point.
 
+    For |L| = k <= 16 a pass is broadword: A and B, read as big-endian
+    integers, pack into one byte string A*k + B whose bytes are the pairs
+    a*k + b (no byte carries, since a*k + b < k*k <= 256), and each row
+    is that string run through one `bytes.translate` table of the
+    lattice. For k > 16 each row is built entry by entry from the meet
+    and join tables.
+
     Raises EnumerationBudgetError, before allocating, when |L|^n exceeds
-    finfun.DEFAULT_BUDGET entries.
+    finfun.DEFAULT_BUDGET entries, and ValueError when |L| exceeds
+    finfun.MAX_CODOMAIN, the most values a table holds.
     """
     lat = f.lattice
     k = lat.size
@@ -206,21 +214,29 @@ def value_table(f: PolyFn) -> FiniteFn:
         raise EnumerationBudgetError(
             f"a value table of {k}^{f.arity} entries exceeds the budget "
             f"of {DEFAULT_BUDGET}")
-    meet_t, join_t = lat._meet, lat._join
+    if k > MAX_CODOMAIN:
+        raise ValueError(f"a value table over {k} elements exceeds the bound of "
+                         f"{MAX_CODOMAIN} values")
     bottom = lat.bottom_index
-    table = f.table
+    table = bytes(f.table)
     for _ in range(f.arity):
         half = len(table) // 2
         low, high = table[:half], table[half:]
-        out = [0] * (k * half)
+        out = bytearray(k * half)
         out[bottom::k] = low
-        for v in range(k):
-            if v != bottom:
-                mt = meet_t[v]
-                out[v::k] = [join_t[a][mt[b]] for a, b in zip(low, high)]
+        if k <= 16:
+            packed = (int.from_bytes(low, "big") * k
+                      + int.from_bytes(high, "big")).to_bytes(half, "big")
+            for v, row in enumerate(lat._pair_rows()):
+                if v != bottom:
+                    out[v::k] = packed.translate(row)
+        else:
+            join_t = lat._join
+            for v, mt in enumerate(lat._meet):
+                if v != bottom:
+                    out[v::k] = [join_t[a][mt[b]] for a, b in zip(low, high)]
         table = out
-    return FiniteFn(sizes=(k,) * f.arity, codomain=k,
-                    table=tuple(table), labels=lat.names)
+    return FiniteFn(sizes=(k,) * f.arity, codomain=k, table=bytes(table), labels=lat.names)
 
 
 def essential_variables(f: PolyFn | FiniteFn) -> frozenset[int]:
@@ -327,7 +343,7 @@ def restrict_to_01(f: PolyFn) -> FiniteFn:
     element set of the lattice.
     """
     return FiniteFn(sizes=(2,) * f.arity, codomain=f.lattice.size,
-                    table=f.table, labels=f.lattice.names)
+                    table=bytes(f.table), labels=f.lattice.names)
 
 
 def equivalent(f: PolyFn, g: PolyFn) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -80,37 +81,69 @@ def _points(sizes: tuple[int, ...]):
     return itertools.product(*(range(a) for a in sizes))
 
 
+# The references below walk point tuples once per shape and keep the
+# index lists they find, so that sweeping many tables stays cheap.
+
+@functools.lru_cache(maxsize=None)
+def _neighbours(sizes: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # Per position k, the index pairs of points that differ only at k.
+    out = []
+    for k, size in enumerate(sizes):
+        pairs = []
+        for point in _points(sizes):
+            for digit in range(point[k] + 1, size):
+                other = point[:k] + (digit,) + point[k + 1:]
+                pairs.append((point_index(sizes, point), point_index(sizes, other)))
+        out.append(tuple(pairs))
+    return tuple(out)
+
+
 def essential_by_points(sizes: tuple[int, ...], table) -> set[int]:
     """Positions k where changing only digit k of some point changes the
-    value, found by trying every digit at every point."""
-    ess = set()
+    value, found by trying every pair of such points."""
+    return {k + 1 for k, pairs in enumerate(_neighbours(sizes))
+            if any(table[a] != table[b] for a, b in pairs)}
+
+
+@functools.lru_cache(maxsize=None)
+def _identify_sources(sizes: tuple[int, ...], i: int, j: int) -> tuple[int, ...]:
+    out = [0] * math.prod(sizes)
     for point in _points(sizes):
-        value = table[point_index(sizes, point)]
-        for k, size in enumerate(sizes):
-            for digit in range(size):
-                other = point[:k] + (digit,) + point[k + 1:]
-                if table[point_index(sizes, other)] != value:
-                    ess.add(k + 1)
-    return ess
+        source = list(point)
+        source[i - 1] = point[j - 1]
+        out[point_index(sizes, point)] = point_index(sizes, source)
+    return tuple(out)
 
 
 def identify_by_points(sizes: tuple[int, ...], table, i: int, j: int) -> tuple:
     """The table of the minor whose digit i is replaced by digit j."""
-    out = [None] * len(table)
-    for point in _points(sizes):
-        source = list(point)
-        source[i - 1] = point[j - 1]
-        out[point_index(sizes, point)] = table[point_index(sizes, source)]
+    return tuple(table[s] for s in _identify_sources(sizes, i, j))
+
+
+@functools.lru_cache(maxsize=None)
+def _reduce_sources(sizes: tuple[int, ...], keep: tuple[int, ...]) -> tuple[int, ...]:
+    kept_sizes = tuple(sizes[p - 1] for p in keep)
+    out = [0] * math.prod(kept_sizes)
+    for sub in _points(kept_sizes):
+        point = [0] * len(sizes)
+        for p, digit in zip(keep, sub):
+            point[p - 1] = digit
+        out[point_index(kept_sizes, sub)] = point_index(sizes, point)
     return tuple(out)
 
 
 def reduce_by_points(sizes: tuple[int, ...], table, keep: tuple[int, ...]) -> tuple:
     """The table over the positions in `keep`, every other digit at 0."""
-    kept_sizes = tuple(sizes[p - 1] for p in keep)
-    out = [None] * math.prod(kept_sizes)
-    for sub in _points(kept_sizes):
-        point = [0] * len(sizes)
-        for p, digit in zip(keep, sub):
-            point[p - 1] = digit
-        out[point_index(kept_sizes, sub)] = table[point_index(sizes, point)]
-    return tuple(out)
+    return tuple(table[s] for s in _reduce_sources(sizes, keep))
+
+
+def gap_by_points(sizes: tuple[int, ...], table) -> tuple[set[int], int | None]:
+    """The essential positions and the arity gap: their number less the
+    most essential positions left by a minor that identifies two of them
+    (equal alphabets only). The gap is None below two essential positions."""
+    ess = essential_by_points(sizes, table)
+    if len(ess) < 2:
+        return ess, None
+    essl = max(len(essential_by_points(sizes, identify_by_points(sizes, table, i, j)))
+               for i in ess for j in ess if i != j and sizes[i - 1] == sizes[j - 1])
+    return ess, len(ess) - essl

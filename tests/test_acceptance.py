@@ -89,6 +89,19 @@ def test_criterion_2_pseudo_boolean_sweep_matches_oracle():
           f"{total_time:.1f}s)")
 
 
+def test_pseudo_boolean_sweep_scans_each_function_once(monkeypatch):
+    # The classifier's reduction reuses the essential positions the
+    # oracle found: one scan per function (6561) plus one per minor the
+    # oracle builds (8244), and no rescan of the 6540 analysed ones.
+    import latgap.finfun as finfun
+    calls = []
+    scan = finfun.ess_bruteforce
+    monkeypatch.setattr(finfun, "ess_bruteforce", lambda f: calls.append(f) or scan(f))
+    report = sweep_pseudo_boolean(3, 3)
+    assert report.ok and report.analyzed == 6540
+    assert len(calls) == 14805
+
+
 def test_criterion_3_lattice_sweep_matches_oracle():
     results = lattice_sweep()
     assert set(results) == set(LATTICES)

@@ -183,6 +183,22 @@ def test_analyze_verify_checks_table_size(capsys):
     assert "essential: [1, 2]" in out
 
 
+def test_codomain_bound_is_checked_first(tmp_path, capsys):
+    # Value tables hold one byte per entry, so at most 256 values.
+    names = [f"e{i}" for i in range(257)]
+    path = tmp_path / "chain257.lat"
+    path.write_text("elements: " + " ".join(names) + "\n"
+                    + "".join(f"{a} < {b}\n" for a, b in zip(names, names[1:])))
+    for argv in (["verify", "pseudo-boolean", "--arity", "1", "--codomain", "300"],
+                 ["analyze", "--lattice", str(path), "--arity", "1", "--expr", "x1",
+                  "--verify"]):
+        rc, out, err = run(capsys, argv)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "exceeds the bound of 256" in err
+
+
 def test_deep_expressions_are_rejected(capsys):
     nested = "(" * 340 + "x1" + ")" * 340
     chained = " | ".join(["x1"] * 1000)

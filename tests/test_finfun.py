@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import array
 import itertools
 import math
 import random
@@ -11,7 +12,7 @@ from latgap import (EnumerationBudgetError, FiniteFn, chain,
                     ess_bruteforce, format_finite_fn, gap_bruteforce,
                     identify_table, parse_finite_fn, point_at, reduce_table,
                     salomaa_function)
-from helpers import (essential_by_points, identify_by_points,
+from helpers import (essential_by_points, gap_by_points, identify_by_points,
                      monotone_tables_by_filter, reduce_by_points)
 
 XOR = FiniteFn((2, 2), 2, (0, 1, 1, 0))
@@ -34,14 +35,14 @@ def test_ess_bruteforce_examples():
 
 def test_identify_xor_goes_constant():
     g = identify_table(XOR, 1, 2)
-    assert g.table == (0, 0, 0, 0)
+    assert g.table == bytes((0, 0, 0, 0))
     assert ess_bruteforce(g) == frozenset()
 
 
 def test_identify_and_gives_projection():
     g = identify_table(AND, 1, 2)
     # x1 := x2 turns conjunction into x2
-    assert g.table == (0, 0, 1, 1)
+    assert g.table == bytes((0, 0, 1, 1))
 
 
 def test_identify_errors():
@@ -89,7 +90,7 @@ def test_reduce_table():
     reduced, positions = reduce_table(f)
     assert positions == (2,)
     assert reduced.sizes == (2,)
-    assert reduced.table == (0, 1)
+    assert reduced.table == bytes((0, 1))
 
 
 def test_reduce_table_keeps_values():
@@ -97,15 +98,42 @@ def test_reduce_table_keeps_values():
     reduced, positions = reduce_table(f)
     assert positions == (2,)
     assert reduced.sizes == (3,)
-    assert reduced.table == (3, 1, 0)
+    assert reduced.table == bytes((3, 1, 0))
     assert reduced.codomain == 4
+
+
+def check_against_points(f: FiniteFn, minors: bool = True) -> None:
+    """ess_bruteforce and reduce_table against the point-tuple references
+    and, with `minors`, every equal-size identify_table minor and (where
+    the essential positions share one alphabet) gap_bruteforce too."""
+    sizes = f.sizes
+    ess = essential_by_points(sizes, f.table)
+    assert ess_bruteforce(f) == ess
+    keep = tuple(sorted(ess))
+    reduced, positions = reduce_table(f)
+    assert positions == keep
+    assert reduced.sizes == tuple(sizes[p - 1] for p in keep)
+    assert reduced.table == bytes(reduce_by_points(sizes, f.table, keep))
+    assert reduced.codomain == f.codomain
+    if not minors:
+        return
+    for i in range(1, f.arity + 1):
+        for j in range(1, f.arity + 1):
+            if i != j and sizes[i - 1] == sizes[j - 1]:
+                minor = identify_table(f, i, j)
+                assert minor.sizes == f.sizes
+                assert minor.table == bytes(identify_by_points(sizes, f.table, i, j))
+    if len({sizes[p - 1] for p in ess}) <= 1:
+        report = gap_bruteforce(f)
+        assert (report.essential, report.gap) == gap_by_points(sizes, f.table)
 
 
 def test_stride_arithmetic_matches_point_reference():
     # Random tables over mixed alphabets that ignore some planted
     # positions, checked against references that walk point tuples.
     rng = random.Random(2009)
-    for sizes, _ in itertools.product([(2, 3, 3), (3, 2, 3, 2), (3, 3, 2, 3)], range(40)):
+    shapes = [(2, 3, 3), (3, 2, 3, 2), (3, 3, 2, 3), (4, 4, 4, 4)]
+    for sizes, codomain, _ in itertools.product(shapes, (3, 256), range(40)):
         n = len(sizes)
         used = [k for k in range(n) if rng.random() < 0.6]
         values = {}
@@ -113,22 +141,21 @@ def test_stride_arithmetic_matches_point_reference():
         for idx in range(math.prod(sizes)):
             point = point_at(sizes, idx)
             key = tuple(point[k] for k in used)
-            table.append(values.setdefault(key, rng.randrange(3)))
-        f = FiniteFn(sizes, 3, tuple(table))
-        ess = essential_by_points(sizes, f.table)
-        assert ess <= {k + 1 for k in used}
-        assert ess_bruteforce(f) == ess
-        keep = tuple(sorted(ess))
-        reduced, positions = reduce_table(f)
-        assert positions == keep
-        assert reduced.sizes == tuple(sizes[p - 1] for p in keep)
-        assert reduced.table == reduce_by_points(sizes, f.table, keep)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j and sizes[i - 1] == sizes[j - 1]:
-                    minor = identify_table(f, i, j)
-                    assert minor.sizes == f.sizes
-                    assert minor.table == identify_by_points(sizes, f.table, i, j)
+            table.append(values.setdefault(key, rng.randrange(codomain)))
+        f = FiniteFn(sizes, codomain, tuple(table))
+        assert essential_by_points(sizes, f.table) <= {k + 1 for k in used}
+        check_against_points(f)
+
+
+def test_every_small_boolean_function_matches_point_reference():
+    # identify_table moves entries without reading them, so at n = 4 one
+    # table with 16 distinct values pins down every minor of that shape;
+    # criterion 1 already checks gap_bruteforce on all n = 4 functions
+    # against the closed-form classifier.
+    for n in range(5):
+        for f in enumerate_all_functions(n, 2, 2):
+            check_against_points(f, minors=n <= 3)
+    check_against_points(FiniteFn((2,) * 4, 16, range(16)))
 
 
 def test_salomaa_function_shape():
@@ -186,6 +213,9 @@ def test_enumeration_budget():
         list(enumerate_all_functions(3, 3, 3, budget=1000))
     # a budget just large enough goes through
     assert sum(1 for _ in enumerate_all_functions(1, 2, 2, budget=4)) == 4
+    # the codomain bound is checked on the call, before anything is drawn
+    with pytest.raises(ValueError, match="exceeds the bound of 256"):
+        enumerate_all_functions(1, 2, 257)
 
 
 def test_text_format_round_trip():
@@ -212,6 +242,8 @@ def test_text_format_errors():
         parse_finite_fn("2 2 2\n0 1 1 7")
     with pytest.raises(ValueError, match="bad value"):
         parse_finite_fn("2 2 2\n0 1 1 x")
+    with pytest.raises(ValueError, match="exceeds the bound of 256"):
+        parse_finite_fn("1 2 257\n0 256")
     mixed = FiniteFn((2, 3), 2, (0,) * 6)
     with pytest.raises(ValueError, match="shared alphabet"):
         format_finite_fn(mixed)
@@ -226,6 +258,15 @@ def test_constructor_validation():
         FiniteFn((2,), 2, (0, 2))
     with pytest.raises(ValueError, match="labels"):
         FiniteFn((2,), 2, (0, 1), labels=("only",))
+    with pytest.raises(ValueError, match="exceeds the bound of 256"):
+        FiniteFn((2,), 257, (0, 1))
+    with pytest.raises(ValueError, match="codomain"):
+        FiniteFn((2,), 2, (0, 300))
+    with pytest.raises(TypeError):
+        FiniteFn((2, 2), 2, 4)
+    assert FiniteFn((2,), 256, [0, 255]).table == bytes((0, 255))
+    # read as ints, not as the raw memory of a buffer
+    assert FiniteFn((2,), 3, array.array("i", (1, 2))).table == bytes((1, 2))
 
 
 def test_labels_do_not_affect_equality(c3):

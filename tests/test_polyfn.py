@@ -6,7 +6,7 @@ import random
 import pytest
 
 from latgap import (EnumerationBudgetError, MonotonicityError, PolyFn,
-                    canonicalize, characteristic_vector, chain, equivalent,
+                    builtin_lattice, canonicalize, characteristic_vector, chain, equivalent,
                     essential_variables, eval_dnf, from_monotone_table,
                     identify, lattice_from_covers, parse_expr,
                     reduce_to_essential, restrict_to_01, simple_substitution,
@@ -186,7 +186,7 @@ def test_restrict_to_01(c3):
     r = restrict_to_01(f)
     assert r.sizes == (2, 2)
     assert r.codomain == 3
-    assert r.table == f.table
+    assert r.table == bytes(f.table)
     assert ess_bruteforce(r) == essential_variables(f)
 
 
@@ -226,6 +226,11 @@ def test_value_table_matches_eval(c3, c4, rect23):
     fns += [PolyFn(top_first, 1, (4, v)) for v in range(5)]
     fns += [PolyFn(top_first, 1, (2, 0)), PolyFn(c4, 1, (1, 3))]
     fns += [PolyFn(rect23, 4, random_monotone_table(rng, 4, rect23)) for _ in range(12)]
+    # Up to 16 elements a pass packs pairs into bytes (4x4 is the edge);
+    # above that it builds rows entry by entry.
+    for spec, n in (("2x2", 4), ("chain4", 3), ("4x4", 3), ("chain20", 2), ("cube5", 2)):
+        lat = builtin_lattice(spec)
+        fns += [PolyFn(lat, n, random_monotone_table(rng, n, lat)) for _ in range(4)]
     for f in fns:
         vt = value_table(f)
         lat = f.lattice
