@@ -6,11 +6,11 @@ Three classifiers, one per domain, each returning a verdict object whose
 - Boolean functions: take the Zhegalkin polynomial, whose variables are
   exactly the essential ones, and test membership in the four gap-2
   families (up to permutation of variables). Everything else has gap 1.
-- Functions from {0,1}^n into an arbitrary finite set, depending on all
-  n >= 2 variables: gap 2 exactly when n = 2 and f(0,0) = f(1,1) for a
-  nonconstant f, or when f factors as an injective unary map composed
-  with a Boolean function of gap 2. Both conditions are checked and all
-  that hold are reported.
+- Functions from {0,1}^n into an arbitrary finite set, with at least
+  two essential variables: gap 2 exactly when two variables are
+  essential and f(0,0) = f(1,1) on them (the others at 0), or when f
+  factors as an injective unary map composed with a Boolean function of
+  gap 2. Both conditions are checked and all that hold are reported.
 - Lattice polynomial functions: gap 2 exactly for truncated medians,
   the functions (a or median(x,y,z)) and b with a strictly below b,
   possibly padded with inessential variables.
@@ -236,23 +236,24 @@ def classify_boolean_gap(f: FiniteFn) -> Gap1 | BooleanForm:
 def classify_pseudo_boolean_gap(f: FiniteFn) -> Gap1 | PseudoBooleanCase:
     """Decide the arity gap of f: {0,1}^n -> B, any finite B.
 
-    f must depend on all of its n >= 2 variables. Gap 2 holds exactly
-    when (1) n = 2 and f(0,0) = f(1,1), or (2) f is an injective unary
-    map applied to a Boolean function with gap 2; the two conditions can
-    overlap, so every one that holds is reported. Otherwise gap 1.
+    Needs at least two essential variables; inessential ones may pad the
+    table. Gap 2 holds exactly when (1) exactly two positions p and q
+    are essential and f takes the same value at the all-zero point and
+    at the point that is 1 at p and q only, or (2) f is an injective
+    unary map applied to a Boolean function with gap 2; the two
+    conditions can overlap, so every one that holds is reported.
+    Otherwise gap 1.
     """
     if any(a != 2 for a in f.sizes):
         raise ValueError("the domain must be {0,1}^n")
-    n = f.arity
-    if n < 2:
-        raise GapUndefinedError("arity gap needs at least 2 variables")
-    if len(essential_variables(f)) != n:
-        raise ValueError("the function must depend on all of its variables")
+    ess = sorted(essential_variables(f))
+    if len(ess) < 2:
+        raise GapUndefinedError("arity gap needs at least 2 essential variables")
 
     cases: list[int] = []
     inner: BooleanForm | None = None
     unary: tuple[int, int] | None = None
-    if n == 2 and f.table[0] == f.table[3] and len(set(f.table)) > 1:
+    if len(ess) == 2 and f.table[0] == f.table[(1 << ess[0] - 1) | (1 << ess[1] - 1)]:
         cases.append(1)
     image = sorted(set(f.table))
     if len(image) == 2:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -73,17 +73,14 @@ class FiniteFn:
     """A total function between finite sets, as a dense value table.
 
     `sizes[k-1]` is the alphabet size of position k, `codomain` the
-    number of output labels (at most MAX_CODOMAIN), and `table[i]` the
+    number of output values (at most MAX_CODOMAIN), and `table[i]` the
     value at the point with little-endian mixed-radix index i. `table`
     may be given as any sequence of ints and is stored as `bytes`.
-    `labels` is optional display text for the codomain and never takes
-    part in equality.
     """
 
     sizes: tuple[int, ...]
     codomain: int
     table: bytes
-    labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.codomain, int) or self.codomain < 1:
@@ -102,15 +99,10 @@ class FiniteFn:
         if table.translate(None, _BYTES[:self.codomain]):
             bad = next(v for v in table if v >= self.codomain)
             raise ValueError(f"value {bad!r} out of codomain range")
-        if self.labels is not None and len(self.labels) != self.codomain:
-            raise ValueError("labels must cover the codomain exactly")
 
     @property
     def arity(self) -> int:
         return len(self.sizes)
-
-    def label(self, value: int) -> str:
-        return self.labels[value] if self.labels is not None else str(value)
 
     def __call__(self, point: Sequence[int]) -> int:
         return self.table[point_index(self.sizes, point)]
@@ -198,7 +190,7 @@ def identify_table(f: FiniteFn, i: int, j: int) -> FiniteFn:
     diagonal = _interleave([_slab(_slab(f.table, si, size, v), sj, size, v)
                             for v in range(size)], sj)
     table = _interleave([diagonal] * size, si)
-    return FiniteFn(f.sizes, f.codomain, table, f.labels)
+    return FiniteFn(f.sizes, f.codomain, table)
 
 
 @dataclass(frozen=True)
@@ -248,11 +240,7 @@ def reduce_table(f: FiniteFn) -> tuple[FiniteFn, tuple[int, ...]]:
     Returns the reduced function and the original positions kept, in
     increasing order (positions[t-1] is now position t).
     """
-    return _reduce_to(f, ess_bruteforce(f))
-
-
-def _reduce_to(f: FiniteFn, ess: frozenset[int]) -> tuple[FiniteFn, tuple[int, ...]]:
-    # reduce_table for the essential positions `ess`, already known.
+    ess = ess_bruteforce(f)
     table = f.table
     # Last position first, so the strides of the ones before stay valid.
     for pos in range(f.arity, 0, -1):
@@ -260,7 +248,7 @@ def _reduce_to(f: FiniteFn, ess: frozenset[int]) -> tuple[FiniteFn, tuple[int, .
             table = _slab(table, math.prod(f.sizes[:pos - 1]), f.sizes[pos - 1], 0)
     positions = tuple(sorted(ess))
     new_sizes = tuple(f.sizes[p - 1] for p in positions)
-    return FiniteFn(new_sizes, f.codomain, table, f.labels), positions
+    return FiniteFn(new_sizes, f.codomain, table), positions
 
 
 def salomaa_function(k: int) -> FiniteFn:
@@ -318,13 +306,12 @@ def enumerate_monotone_maps(n: int, lattice: "Lattice") -> Iterator[tuple[int, .
     return rec(0)
 
 
-def enumerate_all_functions(n: int, a: int, b: int,
-                            budget: int = DEFAULT_BUDGET) -> Iterator[FiniteFn]:
+def enumerate_all_functions(n: int, a: int, b: int) -> Iterator[FiniteFn]:
     """Yield all b**(a**n) functions from {0..a-1}^n to {0..b-1}.
 
     Checks its arguments when called, before the first function is
     drawn: a codomain above MAX_CODOMAIN raises ValueError, and a count
-    above the budget EnumerationBudgetError. The order is deterministic
+    above DEFAULT_BUDGET EnumerationBudgetError. The order is deterministic
     (the last table entry varies fastest) and every function appears
     exactly once.
     """
@@ -335,9 +322,9 @@ def enumerate_all_functions(n: int, a: int, b: int,
         raise ValueError("alphabet sizes must be at least 2")
     points = a ** n
     total = b ** points
-    if total > budget:
+    if total > DEFAULT_BUDGET:
         raise EnumerationBudgetError(
-            f"{total} functions exceed the budget of {budget}")
+            f"{total} functions exceed the budget of {DEFAULT_BUDGET}")
     sizes = (a,) * n
     return (FiniteFn(sizes, b, bytes(tab))
             for tab in itertools.product(range(b), repeat=points))
@@ -367,9 +354,17 @@ def parse_finite_fn(text: str) -> FiniteFn:
     if n < 1 or a < 2 or b < 2:
         raise ValueError(f"bad header values arity={n} a_size={a} b_size={b}")
     _check_codomain(b)
+    # Multiplied up with an early exit, so a huge header never becomes a
+    # huge integer.
+    points = 1
+    for _ in range(n):
+        points *= a
+        if points > DEFAULT_BUDGET:
+            raise ValueError(f"header arity={n} a_size={a} b_size={b} asks for more "
+                             f"than {DEFAULT_BUDGET} values")
     body = tokens[3:]
-    if len(body) != a ** n:
-        raise ValueError(f"expected {a ** n} values, got {len(body)}")
+    if len(body) != points:
+        raise ValueError(f"expected {points} values, got {len(body)}")
     values = []
     for t in body:
         try:

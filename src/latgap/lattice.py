@@ -1,10 +1,16 @@
 """Finite bounded distributive lattices presented by cover relations.
 
 A lattice is given as a list of element names plus the covering pairs of
-its Hasse diagram. Construction derives the full order by transitive
-closure, locates the bounds, computes meet and join tables, and rejects
-any presentation that is not a bounded distributive lattice (so M3 and
-N5 never get through; the error message carries a witness triple).
+its Hasse diagram. Construction derives the up- and down-set bitmask of
+every element by transitive closure, locates the bounds, and reads each
+meet (join) off a dict keyed by down-sets (up-sets): the meet of x and y
+is the element whose down-set is down[x] & down[y]. It rejects any
+presentation that is not a bounded distributive lattice (so M3 and N5
+never get through; the error message carries a witness triple), using
+Birkhoff's criterion: a finite lattice is distributive exactly when
+every join-irreducible element is join-prime. That is one bitmask test
+per pair, so construction does O(|L|^2) work, and more than
+sqrt(DEFAULT_BUDGET) elements are refused before any of it.
 
 All query operations are lookups into immutable tables, so a Lattice
 and its elements are safe for unrestricted concurrent reads. The one
@@ -16,9 +22,11 @@ from __future__ import annotations
 
 import re
 import string
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Iterable
+
+from .finfun import DEFAULT_BUDGET
 
 
 class LatticeError(ValueError):
@@ -165,33 +173,24 @@ def _toposort(above: list[set[int]], names: tuple[str, ...]) -> list[int]:
     return order
 
 
-def _pick_bound(row: list[int], candidates: int, names, x: int, y: int, kind: str) -> int:
-    # The bound is the candidate z whose row covers all candidates: with
-    # row = down (meet) z sits above every common lower bound, with
-    # row = up (join) z sits below every common upper bound.
-    mm = candidates
-    while mm:
-        bit = mm & -mm
-        z = bit.bit_length() - 1
-        mm ^= bit
-        if candidates & ~row[z] == 0:
-            return z
-    raise LatticeError(f"elements {names[x]!r} and {names[y]!r} have no {kind}")
-
-
 def lattice_from_covers(names: Iterable[str],
                         covers: Iterable[tuple[str, str]]) -> Lattice:
     """Build and fully validate a lattice from names and cover pairs.
 
     ``covers`` holds (lower, upper) name pairs. The order is the
     reflexive transitive closure of the pairs. Raises LatticeError for
-    duplicate or malformed names, unknown names in covers, cycles,
-    missing unique bottom/top, a pair without a meet or join, or a
-    distributivity violation (with a witness triple in the message).
+    more than sqrt(DEFAULT_BUDGET) elements (checked first), duplicate
+    or malformed names, unknown names in covers, cycles, missing unique
+    bottom/top, a pair without a meet or join, or a distributivity
+    violation (with a witness triple in the message).
     """
     names = tuple(names)
-    if len(names) < 2:
+    n = len(names)
+    if n < 2:
         raise LatticeError("a bounded lattice needs at least two elements")
+    if n * n > DEFAULT_BUDGET:
+        raise LatticeError(f"{n} elements exceed the budget: the meet and join tables "
+                           f"would hold {n * n} entries each, more than {DEFAULT_BUDGET}")
     seen: set[str] = set()
     for nm in names:
         if not isinstance(nm, str) or not _NAME.match(nm):
@@ -200,7 +199,6 @@ def lattice_from_covers(names: Iterable[str],
         if nm in seen:
             raise LatticeError(f"duplicate element name {nm!r}")
         seen.add(nm)
-    n = len(names)
     index = {nm: i for i, nm in enumerate(names)}
 
     above: list[set[int]] = [set() for _ in range(n)]
@@ -213,20 +211,14 @@ def lattice_from_covers(names: Iterable[str],
         above[index[a]].add(index[b])
 
     order = _toposort(above, names)
-
-    up = [0] * n
+    up = [1 << i for i in range(n)]
+    down = up[:]
     for i in reversed(order):
-        row = 1 << i
         for j in above[i]:
-            row |= up[j]
-        up[i] = row
-    down = [0] * n
-    for i in range(n):
-        row = up[i]
-        while row:
-            bit = row & -row
-            down[bit.bit_length() - 1] |= 1 << i
-            row ^= bit
+            up[i] |= up[j]
+    for i in order:
+        for j in above[i]:
+            down[j] |= down[i]
 
     full = (1 << n) - 1
     bottoms = [i for i in range(n) if up[i] == full]
@@ -236,47 +228,48 @@ def lattice_from_covers(names: Iterable[str],
     if len(tops) != 1:
         raise LatticeError("no top element (exactly one element must lie above all others)")
 
+    # The meet of x and y is the element whose down-set is down[x] & down[y];
+    # dually for the join.
+    by_down = {d: i for i, d in enumerate(down)}
+    by_up = {u: i for i, u in enumerate(up)}
     meet_t = [[0] * n for _ in range(n)]
     join_t = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(x, n):
-            m = _pick_bound(down, down[x] & down[y], names, x, y, "meet")
-            j = _pick_bound(up, up[x] & up[y], names, x, y, "join")
+            m = by_down.get(down[x] & down[y])
+            j = by_up.get(up[x] & up[y])
+            if m is None or j is None:
+                kind = "meet" if m is None else "join"
+                raise LatticeError(f"elements {names[x]!r} and {names[y]!r} have no {kind}")
             meet_t[x][y] = meet_t[y][x] = m
             join_t[x][y] = join_t[y][x] = j
 
-    for x in range(n):
-        mx = meet_t[x]
-        for y in range(n):
-            for z in range(n):
-                lhs = mx[join_t[y][z]]
-                rhs = join_t[mx[y]][mx[z]]
-                if lhs != rhs:
-                    raise LatticeError(
-                        f"not distributive: witness ({names[x]}, {names[y]}, {names[z]}): "
-                        f"{names[x]} & ({names[y]} | {names[z]}) = {names[lhs]} but "
-                        f"({names[x]} & {names[y]}) | ({names[x]} & {names[z]}) = {names[rhs]}")
+    # The Hasse edges are the given pairs with nothing strictly between;
+    # a closure of the pairs cannot produce any other edge.
+    cover_pairs = sorted({(i, j) for i in range(n) for j in above[i]
+                          if up[i] & down[j] == (1 << i) | (1 << j)})
 
-    cover_pairs: list[tuple[int, int]] = []
-    for i in range(n):
-        strict = up[i] & ~(1 << i)
-        mm = strict
-        while mm:
-            bit = mm & -mm
-            j = bit.bit_length() - 1
-            mm ^= bit
-            if strict & down[j] & ~bit == 0:
-                cover_pairs.append((i, j))
-    cover_pairs.sort()
+    # Birkhoff: a finite lattice is distributive exactly when every
+    # join-irreducible j (one lower cover) is join-prime, that is
+    # j <= y | z implies j <= y or j <= z. A j that breaks this gives
+    # j & (y | z) = j while (j & y) | (j & z) lies below j's lower cover.
+    lower_covers = Counter(j for _, j in cover_pairs)
+    irreducible = sum(1 << j for j, count in lower_covers.items() if count == 1)
+    below = [d & irreducible for d in down]
+    for y in range(n):
+        for z in range(y + 1, n):
+            lost = below[join_t[y][z]] & ~(below[y] | below[z])
+            if lost:
+                x = (lost & -lost).bit_length() - 1
+                mx = meet_t[x]
+                lhs, rhs = mx[join_t[y][z]], join_t[mx[y]][mx[z]]
+                raise LatticeError(
+                    f"not distributive: witness ({names[x]}, {names[y]}, {names[z]}): "
+                    f"{names[x]} & ({names[y]} | {names[z]}) = {names[lhs]} but "
+                    f"({names[x]} & {names[y]}) | ({names[x]} & {names[z]}) = {names[rhs]}")
 
-    return Lattice(names,
-                   tuple(up),
-                   tuple(down),
-                   tuple(tuple(r) for r in meet_t),
-                   tuple(tuple(r) for r in join_t),
-                   bottoms[0],
-                   tops[0],
-                   tuple(cover_pairs))
+    return Lattice(names, tuple(up), tuple(down), tuple(map(tuple, meet_t)),
+                   tuple(map(tuple, join_t)), bottoms[0], tops[0], tuple(cover_pairs))
 
 
 def _chain_names(size: int) -> list[str]:
@@ -315,21 +308,16 @@ def product(left: Lattice, right: Lattice) -> Lattice:
     """Direct product; component names joined with an underscore."""
     if not isinstance(left, Lattice) or not isinstance(right, Lattice):
         raise LatticeError("product expects two Lattice operands")
-    names = [f"{a}_{b}" for a in left.names for b in right.names]
-    covers: list[tuple[str, str]] = []
-    for i, a in enumerate(left.names):
-        for j, b in enumerate(right.names):
-            for i2, j2 in left.covers:
-                if i2 == i:
-                    covers.append((f"{a}_{b}", f"{left.names[j2]}_{b}"))
-            for j2, k2 in right.covers:
-                if j2 == j:
-                    covers.append((f"{a}_{b}", f"{a}_{right.names[k2]}"))
+    ln, rn = left.names, right.names
+    names = [f"{a}_{b}" for a in ln for b in rn]
+    covers = [(f"{ln[i]}_{b}", f"{ln[j]}_{b}") for i, j in left.covers for b in rn]
+    covers += [(f"{a}_{rn[i]}", f"{a}_{rn[j]}") for a in ln for i, j in right.covers]
     return lattice_from_covers(names, covers)
 
 
-# Builtin names are checked against this cap before anything is built:
-# construction does O(|L|^3) work and an N-element chain needs N names.
+# Builtin names are checked against this cap before anything is built,
+# so that a name never costs more than a 64-element build; lattice files
+# get the larger budget of lattice_from_covers.
 MAX_BUILTIN_SIZE = 64
 
 _CHAIN = re.compile(r"chain([0-9]+)\Z")

@@ -236,7 +236,7 @@ def value_table(f: PolyFn) -> FiniteFn:
                 if v != bottom:
                     out[v::k] = [join_t[a][mt[b]] for a, b in zip(low, high)]
         table = out
-    return FiniteFn(sizes=(k,) * f.arity, codomain=k, table=bytes(table), labels=lat.names)
+    return FiniteFn(sizes=(k,) * f.arity, codomain=k, table=bytes(table))
 
 
 def essential_variables(f: PolyFn | FiniteFn) -> frozenset[int]:
@@ -343,7 +343,7 @@ def restrict_to_01(f: PolyFn) -> FiniteFn:
     element set of the lattice.
     """
     return FiniteFn(sizes=(2,) * f.arity, codomain=f.lattice.size,
-                    table=bytes(f.table), labels=f.lattice.names)
+                    table=bytes(f.table))
 
 
 def equivalent(f: PolyFn, g: PolyFn) -> bool:

@@ -15,8 +15,8 @@ from typing import Callable, Iterable
 
 from .classify import (classify_boolean_gap, classify_polynomial_gap,
                        classify_pseudo_boolean_gap)
-from .finfun import (FiniteFn, GapReport, _reduce_to, enumerate_all_functions,
-                     enumerate_monotone_maps, ess_bruteforce, gap_bruteforce)
+from .finfun import (FiniteFn, enumerate_all_functions, enumerate_monotone_maps,
+                     ess_bruteforce, gap_bruteforce)
 from .lattice import Lattice
 from .polyfn import PolyFn, essential_variables, restrict_to_01, value_table
 
@@ -75,15 +75,13 @@ def _sweep(kind: str, params: dict, scanned_key: str, items: Iterable,
                        gap_counts, time.perf_counter() - start, counterexample)
 
 
-def _table_check(classify: Callable[[FiniteFn, GapReport], object],
+def _table_check(classify: Callable[[FiniteFn], object],
                  render: Callable[[bytes], object]) -> Callable[[FiniteFn], Outcome]:
-    # `classify` sees the function and the oracle's report on it.
     def check(f: FiniteFn) -> Outcome:
-        report = gap_bruteforce(f)
-        actual = report.gap
+        actual = gap_bruteforce(f).gap
         if actual is None:
             return None, None
-        claimed = classify(f, report).gap
+        claimed = classify(f).gap
         if claimed == actual and actual <= 2:
             return actual, None
         return actual, {"table": render(f.table),
@@ -94,19 +92,16 @@ def _table_check(classify: Callable[[FiniteFn, GapReport], object],
 def sweep_boolean(arity: int) -> SweepReport:
     """classify_boolean_gap against gap_bruteforce on every Boolean
     function of the given arity."""
-    check = _table_check(lambda f, _: classify_boolean_gap(f), lambda t: "".join(map(str, t)))
+    check = _table_check(classify_boolean_gap, lambda t: "".join(map(str, t)))
     return _sweep("boolean", {"arity": arity}, "scanned",
                   enumerate_all_functions(arity, 2, 2), check)
 
 
 def sweep_pseudo_boolean(arity: int, codomain: int) -> SweepReport:
-    """classify_pseudo_boolean_gap, on each function reduced to its
-    essential positions, against gap_bruteforce on the whole function,
-    for every function {0,1}^arity -> {0..codomain-1}. The reduction
-    pins the positions the oracle found inessential, without a rescan."""
-    check = _table_check(
-        lambda f, report: classify_pseudo_boolean_gap(_reduce_to(f, report.essential)[0]),
-        list)
+    """classify_pseudo_boolean_gap against gap_bruteforce on every
+    function {0,1}^arity -> {0..codomain-1}. Both see the whole table
+    and each finds the essential positions its own way."""
+    check = _table_check(classify_pseudo_boolean_gap, list)
     return _sweep("pseudo-boolean", {"arity": arity, "codomain": codomain},
                   "scanned", enumerate_all_functions(arity, 2, codomain), check)
 

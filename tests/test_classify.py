@@ -13,8 +13,8 @@ from latgap import (FOURTH_FORM, MEDIAN_FORM, MIXED_FORM, SUM_FORM,
                     canonicalize, classify_boolean_gap,
                     classify_polynomial_gap, classify_pseudo_boolean_gap,
                     enumerate_all_functions, ess_bruteforce, gap_bruteforce,
-                    is_truncated_median, parse_expr, simple_substitution,
-                    value_table, zhegalkin_from_table)
+                    is_truncated_median, parse_expr, reduce_table,
+                    simple_substitution, value_table, zhegalkin_from_table)
 from helpers import monotone_tables_by_filter
 from latgap.polyfn import from_monotone_table
 from latgap.sweep import sweep_boolean, sweep_pseudo_boolean
@@ -154,12 +154,30 @@ def test_pseudo_gap_one():
 
 
 def test_pseudo_rejects_bad_input():
-    with pytest.raises(ValueError, match="depend on all"):
-        classify_pseudo_boolean_gap(FiniteFn((2, 2), 3, (0, 1, 0, 1)))
     with pytest.raises(GapUndefinedError):
         classify_pseudo_boolean_gap(FiniteFn((2,), 3, (0, 1)))
     with pytest.raises(ValueError, match="domain"):
         classify_pseudo_boolean_gap(FiniteFn((3, 2), 3, (0,) * 6))
+
+
+def test_pseudo_sees_through_padding():
+    # Every function {0,1}^3 -> {0,1,2} with at least two essential
+    # positions gets the verdict of its reduction; below two, none.
+    analyzed = padded = 0
+    for f in enumerate_all_functions(3, 2, 3):
+        reduced, _ = reduce_table(f)
+        if reduced.arity < 2:
+            with pytest.raises(GapUndefinedError):
+                classify_pseudo_boolean_gap(f)
+            continue
+        verdict = classify_pseudo_boolean_gap(f)
+        expect = classify_pseudo_boolean_gap(reduced)
+        assert verdict.gap == expect.gap, f.table
+        assert getattr(verdict, "cases", None) == getattr(expect, "cases", None), f.table
+        assert getattr(verdict, "unary_map", None) == getattr(expect, "unary_map", None)
+        analyzed += 1
+        padded += reduced.arity < 3
+    assert (analyzed, padded) == (6540, 198)
 
 
 def test_pseudo_matches_oracle_exhaustively():

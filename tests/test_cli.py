@@ -199,6 +199,26 @@ def test_codomain_bound_is_checked_first(tmp_path, capsys):
         assert "exceeds the bound of 256" in err
 
 
+def test_lattice_file_size_is_checked_first(tmp_path, capsys):
+    # The meet and join tables hold |L|^2 entries each, so a file may
+    # name at most sqrt(10^7), that is 3,162, elements.
+    names = [f"e{i}" for i in range(3163)]
+    path = tmp_path / "chain3163.lat"
+    path.write_text("elements: " + " ".join(names) + "\n"
+                    + "".join(f"{a} < {b}\n" for a, b in zip(names, names[1:])))
+    rc, out, err = run(capsys, ["lattice-check", str(path)])
+    assert rc == 1
+    assert err == ""
+    assert out.startswith("invalid: 3163 elements exceed the budget")
+    assert out.count("\n") == 1
+    rc, out, err = run(capsys, ["analyze", "--lattice", str(path),
+                                "--arity", "1", "--expr", "x1"])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: 3163 elements exceed the budget")
+    assert err.count("\n") == 1
+
+
 def test_deep_expressions_are_rejected(capsys):
     nested = "(" * 340 + "x1" + ")" * 340
     chained = " | ".join(["x1"] * 1000)
@@ -270,6 +290,14 @@ def test_bool_analyze_from_file(tmp_path, capsys):
     rc, _, err = run(capsys, ["bool", "analyze", "--file", str(bad)])
     assert rc == 1
     assert "Boolean" in err
+    # Refused before a_size ** arity is computed: 10^500,000 and
+    # 10^15,000,000 entries.
+    for n, a in (("100000", "100000"), ("3000000", "100000")):
+        bad.write_text(f"{n} {a} 2\n0 1\n")
+        rc, out, err = run(capsys, ["bool", "analyze", "--file", str(bad)])
+        assert (rc, out) == (1, "")
+        assert err == (f"error: header arity={n} a_size={a} b_size=2 asks for "
+                       f"more than 10000000 values\n")
 
 
 def test_verify_boolean_arity2(capsys):

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import latgap.finfun
 from latgap import (EnumerationBudgetError, FiniteFn, chain,
                     enumerate_all_functions, enumerate_monotone_maps,
                     ess_bruteforce, format_finite_fn, gap_bruteforce,
@@ -208,11 +209,16 @@ def test_enumerate_all_functions_counts():
     assert len(set(tables)) == 81
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    # the budget is read when the function is called
+    monkeypatch.setattr(latgap.finfun, "DEFAULT_BUDGET", 1000)
     with pytest.raises(EnumerationBudgetError, match="exceed"):
-        list(enumerate_all_functions(3, 3, 3, budget=1000))
+        list(enumerate_all_functions(3, 3, 3))
     # a budget just large enough goes through
-    assert sum(1 for _ in enumerate_all_functions(1, 2, 2, budget=4)) == 4
+    monkeypatch.setattr(latgap.finfun, "DEFAULT_BUDGET", 4)
+    assert sum(1 for _ in enumerate_all_functions(1, 2, 2)) == 4
+    with pytest.raises(EnumerationBudgetError, match="exceed"):
+        enumerate_all_functions(1, 2, 3)
     # the codomain bound is checked on the call, before anything is drawn
     with pytest.raises(ValueError, match="exceeds the bound of 256"):
         enumerate_all_functions(1, 2, 257)
@@ -244,6 +250,11 @@ def test_text_format_errors():
         parse_finite_fn("2 2 2\n0 1 1 x")
     with pytest.raises(ValueError, match="exceeds the bound of 256"):
         parse_finite_fn("1 2 257\n0 256")
+    # 2^24 entries exceed the budget of 10^7, 2^23 do not
+    with pytest.raises(ValueError, match="header arity=24 a_size=2 b_size=2 asks for more"):
+        parse_finite_fn("24 2 2\n0 1")
+    with pytest.raises(ValueError, match="expected 8388608 values"):
+        parse_finite_fn("23 2 2\n0 1")
     mixed = FiniteFn((2, 3), 2, (0,) * 6)
     with pytest.raises(ValueError, match="shared alphabet"):
         format_finite_fn(mixed)
@@ -256,8 +267,6 @@ def test_constructor_validation():
         FiniteFn((2, 2), 2, (0, 1))
     with pytest.raises(ValueError, match="codomain"):
         FiniteFn((2,), 2, (0, 2))
-    with pytest.raises(ValueError, match="labels"):
-        FiniteFn((2,), 2, (0, 1), labels=("only",))
     with pytest.raises(ValueError, match="exceeds the bound of 256"):
         FiniteFn((2,), 257, (0, 1))
     with pytest.raises(ValueError, match="codomain"):
@@ -268,10 +277,3 @@ def test_constructor_validation():
     # read as ints, not as the raw memory of a buffer
     assert FiniteFn((2,), 3, array.array("i", (1, 2))).table == bytes((1, 2))
 
-
-def test_labels_do_not_affect_equality(c3):
-    bare = FiniteFn((2,), 3, (0, 2))
-    named = FiniteFn((2,), 3, (0, 2), labels=c3.names)
-    assert bare == named
-    assert named.label(2) == "1"
-    assert bare.label(2) == "2"

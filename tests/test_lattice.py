@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import itertools
+import random
 import re
 
 import pytest
@@ -145,8 +147,9 @@ def test_missing_join_rejected():
 
 
 class _BrutePoset:
-    """Order-theoretic mini oracle built straight from cover pairs, used
-    to confirm that rejection witnesses really violate distributivity."""
+    """Order-theoretic mini oracle built straight from cover pairs: the
+    reference for construction, and the check that rejection witnesses
+    really violate distributivity."""
 
     def __init__(self, names, covers):
         self.names = list(names)
@@ -161,23 +164,43 @@ class _BrutePoset:
                     rel[i][j] = rel[i][j] or (rel[i][k] and rel[k][j])
         self.rel = rel
         self.idx = idx
+        self.lower = [{z for z in range(n) if rel[z][x]} for x in range(n)]
+        self.upper = [{z for z in range(n) if rel[x][z]} for x in range(n)]
 
     def _bound(self, x, y, below: bool):
-        n = len(self.names)
-        if below:
-            cands = [z for z in range(n) if self.rel[z][x] and self.rel[z][y]]
-            best = [z for z in cands if all(self.rel[w][z] for w in cands)]
-        else:
-            cands = [z for z in range(n) if self.rel[x][z] and self.rel[y][z]]
-            best = [z for z in cands if all(self.rel[z][w] for w in cands)]
-        assert len(best) == 1
-        return best[0]
+        # The unique greatest common lower (least common upper) bound,
+        # or None when there is none.
+        sets = self.lower if below else self.upper
+        cands = sets[x] & sets[y]
+        best = [z for z in cands if cands <= sets[z]]
+        return best[0] if len(best) == 1 else None
 
     def meet(self, x, y):
         return self._bound(x, y, below=True)
 
     def join(self, x, y):
         return self._bound(x, y, below=False)
+
+    @functools.cached_property
+    def tables(self):
+        """Meet and join tables, or None when some pair lacks a bound."""
+        n = len(self.names)
+        meet = [[self.meet(x, y) for y in range(n)] for x in range(n)]
+        join = [[self.join(x, y) for y in range(n)] for x in range(n)]
+        return None if any(None in row for row in meet + join) else (meet, join)
+
+    def is_distributive_lattice(self):
+        """The definition: every pair has a meet and a join, and
+        x & (y | z) = (x & y) | (x & z) for every triple."""
+        if self.tables is None:
+            return False
+        meet, join = self.tables
+        n = len(self.names)
+        return all(meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+                   for x in range(n) for y in range(n) for z in range(n))
+
+    def is_witness(self, x, y, z):
+        return self.meet(x, self.join(y, z)) != self.join(self.meet(x, y), self.meet(x, z))
 
 
 @pytest.mark.parametrize("names,covers", [(M3_NAMES, M3_COVERS),
@@ -188,10 +211,78 @@ def test_nondistributive_rejected_with_genuine_witness(names, covers):
     m = re.search(r"witness \((\w+), (\w+), (\w+)\)", str(err.value))
     assert m, str(err.value)
     oracle = _BrutePoset(names, covers)
-    x, y, z = (oracle.idx[nm] for nm in m.groups())
-    lhs = oracle.meet(x, oracle.join(y, z))
-    rhs = oracle.join(oracle.meet(x, y), oracle.meet(x, z))
-    assert lhs != rhs
+    assert oracle.is_witness(*(oracle.idx[nm] for nm in m.groups()))
+
+
+def _random_presentation(rng):
+    """Names and covers of a random family of subsets of a small set,
+    ordered by inclusion. The family is closed under intersection and
+    holds the empty and the whole set, so it is a lattice; a distributive
+    one when it is also closed under union, as two in five are. One
+    family in four then loses a member, which may leave pairs without a
+    meet or a join, or the order without a bound. Names and covers come
+    in random order, with a few redundant pairs added."""
+    width = rng.randint(2, 5)
+    full = (1 << width) - 1
+    family = {0, full}
+    for _ in range(rng.randint(1, 10)):
+        # Mostly large sets, whose intersections are many.
+        family.add(sum(1 << k for k in range(width) if rng.random() < 0.7))
+    ring = rng.random() < 0.4
+    while True:
+        grown = {a & b for a in family for b in family}
+        if ring:
+            grown |= {a | b for a in family for b in family}
+        if grown <= family:
+            break
+        family |= grown
+    family = sorted(family)
+    if len(family) > 2 and rng.random() < 0.25:
+        family.remove(rng.choice(family))
+    strict = [(a, b) for a in family for b in family if a != b and a & b == a]
+    hasse = [(a, b) for a, b in strict
+             if not any(a & c == a and c & b == c for c in family if c not in (a, b))]
+    pairs = hasse + rng.sample(strict, min(len(strict), rng.randint(0, 2)))
+    rng.shuffle(pairs)
+    order = rng.sample(family, len(family))
+    names = [f"e{k}" for k in rng.sample(range(100), len(family))]
+    name = dict(zip(order, names))
+    return names, [(name[a], name[b]) for a, b in pairs]
+
+
+def test_construction_matches_brute_force_on_random_presentations():
+    rng = random.Random(20240917)
+    outcomes = {"accepted": 0, "not distributive": 0, "other": 0}
+    for _ in range(2000):
+        names, covers = _random_presentation(rng)
+        oracle = _BrutePoset(names, covers)
+        try:
+            lat = lattice_from_covers(names, covers)
+        except LatticeError as exc:
+            assert not oracle.is_distributive_lattice(), (names, covers, exc)
+            m = re.search(r"not distributive: witness \((\w+), (\w+), (\w+)\)", str(exc))
+            if m:
+                assert oracle.tables is not None, (names, covers, exc)
+                assert oracle.is_witness(*(oracle.idx[nm] for nm in m.groups())), \
+                    (names, covers, exc)
+                outcomes["not distributive"] += 1
+                continue
+            if m := re.search(r"elements '(\w+)' and '(\w+)' have no (meet|join)", str(exc)):
+                bound = oracle.meet if m[3] == "meet" else oracle.join
+                assert bound(oracle.idx[m[1]], oracle.idx[m[2]]) is None, (names, covers, exc)
+            outcomes["other"] += 1
+            continue
+        assert oracle.is_distributive_lattice(), (names, covers)
+        assert lat.names == tuple(names)
+        assert ([list(row) for row in lat._meet],
+                [list(row) for row in lat._join]) == oracle.tables
+        n = len(names)
+        assert all(lat.leq(lat.bottom, x) and lat.leq(x, lat.top) for x in lat.elements)
+        assert {(i, j) for i in range(n) for j in range(n) if i != j and oracle.rel[i][j]
+                and not any(oracle.rel[i][k] and oracle.rel[k][j]
+                            for k in range(n) if k not in (i, j))} == set(lat.covers)
+        outcomes["accepted"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_standard_constructors_reject_bad_params():
