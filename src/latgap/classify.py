@@ -1,16 +1,19 @@
 """Closed-form arity-gap classification.
 
-Three classifiers, one per domain, each returning a verdict object whose
-`gap` property is 1 or 2:
+Three classifiers, one per domain. Each answers every valid input with
+a verdict that carries `essential`, the sorted essential positions the
+classifier found its own way, and a `gap` property: None below two
+essential positions (the verdict is GapUndefined, as the oracle's
+`GapReport` has `gap = None` there), else 1 or 2.
 
 - Boolean functions: take the Zhegalkin polynomial, whose variables are
   exactly the essential ones, and test membership in the four gap-2
   families (up to permutation of variables). Everything else has gap 1.
-- Functions from {0,1}^n into an arbitrary finite set, with at least
-  two essential variables: gap 2 exactly when two variables are
-  essential and f(0,0) = f(1,1) on them (the others at 0), or when f
-  factors as an injective unary map composed with a Boolean function of
-  gap 2. Both conditions are checked and all that hold are reported.
+- Functions from {0,1}^n into an arbitrary finite set: gap 2 exactly
+  when two variables are essential and f(0,0) = f(1,1) on them (the
+  others at 0), or when f factors as an injective unary map composed
+  with a Boolean function of gap 2. Both conditions are checked and all
+  that hold are reported.
 - Lattice polynomial functions: gap 2 exactly for truncated medians,
   the functions (a or median(x,y,z)) and b with a strictly below b,
   possibly padded with inessential variables.
@@ -21,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .finfun import FiniteFn, GapUndefinedError
+from .finfun import FiniteFn
 from .lattice import Elem
-from .polyfn import PolyFn, essential_variables, reduce_to_essential
+from .polyfn import PolyFn, essential_variables
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,27 @@ def zhegalkin_from_table(f: FiniteFn) -> ZhegalkinPoly:
 
 
 @dataclass(frozen=True)
+class GapUndefined:
+    """Fewer than two essential positions: the arity gap is undefined."""
+
+    essential: tuple[int, ...]
+
+    @property
+    def gap(self) -> None:
+        return None
+
+    def to_json(self) -> None:
+        return None
+
+    def __str__(self) -> str:
+        return "undefined (fewer than 2 essential variables)"
+
+
+@dataclass(frozen=True)
 class Gap1:
     """No gap-2 structure found; the arity gap is 1."""
+
+    essential: tuple[int, ...]
 
     @property
     def gap(self) -> int:
@@ -121,6 +143,10 @@ class BooleanForm:
     positions: tuple[int, ...]
 
     @property
+    def essential(self) -> tuple[int, ...]:
+        return tuple(sorted(self.positions))
+
+    @property
     def gap(self) -> int:
         return 2
 
@@ -146,6 +172,7 @@ class PseudoBooleanCase:
     cases: tuple[int, ...]
     inner: BooleanForm | None
     unary_map: tuple[int, int] | None
+    essential: tuple[int, ...]
 
     @property
     def gap(self) -> int:
@@ -168,6 +195,7 @@ class TruncatedMedian:
 
     low: Elem
     high: Elem
+    essential: tuple[int, ...]
 
     @property
     def gap(self) -> int:
@@ -181,20 +209,19 @@ class TruncatedMedian:
         return f"truncated-median(low={self.low.name}, high={self.high.name})"
 
 
-GapClassification = Gap1 | BooleanForm | PseudoBooleanCase | TruncatedMedian
-
 SUM_FORM = "sum-form"
 MIXED_FORM = "x1x2+x1"
 MEDIAN_FORM = "median-form"
 FOURTH_FORM = "form-4"
 
 
-def classify_boolean_gap(f: FiniteFn) -> Gap1 | BooleanForm:
+def classify_boolean_gap(f: FiniteFn) -> GapUndefined | Gap1 | BooleanForm:
     """Decide the arity gap of a Boolean function in closed form.
 
-    Needs at least two essential variables, the variables of its
-    Zhegalkin polynomial. It has gap 2 exactly when that polynomial is,
-    up to a permutation of variables and a parity constant c, one of
+    The essential variables are those of its Zhegalkin polynomial, and
+    below two of them the gap is undefined. It has gap 2 exactly when
+    that polynomial is, up to a permutation of variables and a parity
+    constant c, one of
 
         x1 + ... + xm + c   (m >= 2)
         x1x2 + x1 + c
@@ -206,7 +233,7 @@ def classify_boolean_gap(f: FiniteFn) -> Gap1 | BooleanForm:
     poly = zhegalkin_from_table(f)
     positions = poly.variables
     if len(positions) < 2:
-        raise GapUndefinedError("arity gap needs at least 2 essential variables")
+        return GapUndefined(positions)
     m = len(positions)
     # Renumber the monomials so that positions[t] becomes bit t.
     mono = {sum(1 << t for t, p in enumerate(positions) if (msk >> (p - 1)) & 1)
@@ -230,25 +257,25 @@ def classify_boolean_gap(f: FiniteFn) -> Gap1 | BooleanForm:
         three = 6 - one - two
         return BooleanForm(FOURTH_FORM, m, c,
                            (positions[one - 1], positions[two - 1], positions[three - 1]))
-    return Gap1()
+    return Gap1(positions)
 
 
-def classify_pseudo_boolean_gap(f: FiniteFn) -> Gap1 | PseudoBooleanCase:
+def classify_pseudo_boolean_gap(f: FiniteFn) -> GapUndefined | Gap1 | PseudoBooleanCase:
     """Decide the arity gap of f: {0,1}^n -> B, any finite B.
 
-    Needs at least two essential variables; inessential ones may pad the
-    table. Gap 2 holds exactly when (1) exactly two positions p and q
-    are essential and f takes the same value at the all-zero point and
-    at the point that is 1 at p and q only, or (2) f is an injective
-    unary map applied to a Boolean function with gap 2; the two
-    conditions can overlap, so every one that holds is reported.
+    Inessential variables may pad the table; below two essential ones
+    the gap is undefined. Gap 2 holds exactly when (1) exactly two
+    positions p and q are essential and f takes the same value at the
+    all-zero point and at the point that is 1 at p and q only, or (2) f
+    is an injective unary map applied to a Boolean function with gap 2;
+    the two conditions can overlap, so every one that holds is reported.
     Otherwise gap 1.
     """
     if any(a != 2 for a in f.sizes):
         raise ValueError("the domain must be {0,1}^n")
-    ess = sorted(essential_variables(f))
+    ess = tuple(sorted(essential_variables(f)))
     if len(ess) < 2:
-        raise GapUndefinedError("arity gap needs at least 2 essential variables")
+        return GapUndefined(ess)
 
     cases: list[int] = []
     inner: BooleanForm | None = None
@@ -266,45 +293,31 @@ def classify_pseudo_boolean_gap(f: FiniteFn) -> Gap1 | PseudoBooleanCase:
                 unary = (g0, g1)
                 break
     if cases:
-        return PseudoBooleanCase(tuple(cases), inner, unary)
-    return Gap1()
+        return PseudoBooleanCase(tuple(cases), inner, unary, ess)
+    return Gap1(ess)
 
 
-def is_truncated_median(f: PolyFn) -> tuple[Elem, Elem] | None:
-    """Return (low, high) when f is a truncated median, else None.
-
-    After reducing to essential positions, f must be ternary with the
-    coefficient at every subset of size <= 1 equal to some low value and
-    at every subset of size >= 2 equal to some strictly higher value;
-    those are f at the all-bottom and all-top points.
-    """
-    reduced, _ = reduce_to_essential(f)
-    if reduced.arity != 3:
-        return None
-    table = reduced.table
-    low, high = table[0], table[7]
-    for mask in range(8):
-        want = low if bin(mask).count("1") <= 1 else high
-        if table[mask] != want:
-            return None
-    lat = f.lattice
-    if low == high or not (lat._up[low] >> high) & 1:
-        return None
-    return lat.elements[low], lat.elements[high]
-
-
-def classify_polynomial_gap(f: PolyFn) -> Gap1 | TruncatedMedian:
+def classify_polynomial_gap(f: PolyFn) -> GapUndefined | Gap1 | TruncatedMedian:
     """Decide the arity gap of a lattice polynomial function in closed form.
 
-    Needs at least two essential variables. Truncated medians have gap
-    2; every other polynomial function has gap 1. A truncated median
-    has exactly three essential variables, so the truncated-median test
-    (which builds the reduced function) runs only on those.
+    The essential variables are the positions of coefficient jumps, and
+    below two of them the gap is undefined. Truncated medians have gap
+    2; every other polynomial function has gap 1. A truncated median has
+    three essential positions, and its coefficient is low at the subsets
+    of at most one of them and high at the others. An inessential
+    position never changes a coefficient, so the 8 subsets of the
+    essential positions decide. low < high follows: the table is
+    monotone and not constant.
     """
-    ess = len(essential_variables(f))
-    if ess < 2:
-        raise GapUndefinedError("arity gap needs at least 2 essential variables")
-    pair = is_truncated_median(f) if ess == 3 else None
-    if pair is not None:
-        return TruncatedMedian(pair[0], pair[1])
-    return Gap1()
+    ess = tuple(sorted(essential_variables(f)))
+    if len(ess) < 2:
+        return GapUndefined(ess)
+    if len(ess) == 3:
+        table = f.table
+        i, j, k = (1 << (p - 1) for p in ess)
+        low, high = table[0], table[i | j | k]
+        if (table[i] == table[j] == table[k] == low
+                and table[i | j] == table[i | k] == table[j | k] == high):
+            elements = f.lattice.elements
+            return TruncatedMedian(elements[low], elements[high], ess)
+    return Gap1(ess)

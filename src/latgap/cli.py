@@ -20,11 +20,9 @@ from .classify import (classify_boolean_gap, classify_polynomial_gap,
                        zhegalkin_from_table)
 from .finfun import FiniteFn, gap_bruteforce, parse_finite_fn
 from .lattice import Lattice, LatticeError, builtin_lattice, parse_lattice
-from .polyfn import canonicalize, essential_variables, value_table
+from .polyfn import canonicalize, value_table
 from .sweep import sweep_boolean, sweep_gap_theorem, sweep_pseudo_boolean
 from .terms import ParseError, format_dnf, parse_expr
-
-_UNDEFINED = "undefined (fewer than 2 essential variables)"
 
 
 def load_lattice(spec: str) -> Lattice:
@@ -59,15 +57,14 @@ def _show(gap: int | None) -> str:
     return str(gap) if gap is not None else "undefined"
 
 
-def _verdict_fields(ess: list[int], verdict) -> tuple[dict, list[str]]:
-    """The essential positions and the verdict (None below two essential
-    positions), as JSON fields and as text lines."""
-    gap = verdict.gap if verdict is not None else None
-    payload = {"essential": ess, "ess": len(ess), "gap": gap,
-               "classification": verdict.to_json() if verdict is not None else None,
-               "oracle": None}
-    lines = [f"essential: {ess}", f"ess: {len(ess)}", f"gap: {_show(gap)}",
-             f"classification: {verdict if verdict is not None else _UNDEFINED}"]
+def _verdict_fields(verdict) -> tuple[dict, list[str]]:
+    """The verdict's essential positions, gap and classification, as
+    JSON fields and as text lines."""
+    ess = list(verdict.essential)
+    payload = {"essential": ess, "ess": len(ess), "gap": verdict.gap,
+               "classification": verdict.to_json(), "oracle": None}
+    lines = [f"essential: {ess}", f"ess: {len(ess)}", f"gap: {_show(verdict.gap)}",
+             f"classification: {verdict}"]
     return payload, lines
 
 
@@ -89,9 +86,7 @@ def cmd_analyze(ns) -> int:
     lat = load_lattice(ns.lattice)
     term = parse_expr(ns.expr, ns.arity, lat)
     f = canonicalize(term)
-    ess = sorted(essential_variables(f))
-    verdict = classify_polynomial_gap(f) if len(ess) >= 2 else None
-    fields, text = _verdict_fields(ess, verdict)
+    fields, text = _verdict_fields(classify_polynomial_gap(f))
     dnf = format_dnf(f)
     payload = {
         "lattice": {"elements": list(lat.names),
@@ -129,9 +124,7 @@ def _bool_fn_from_args(ns) -> FiniteFn:
 def cmd_bool_analyze(ns) -> int:
     f = _bool_fn_from_args(ns)
     poly = zhegalkin_from_table(f)
-    ess = list(poly.variables)
-    verdict = classify_boolean_gap(f) if len(ess) >= 2 else None
-    fields, text = _verdict_fields(ess, verdict)
+    fields, text = _verdict_fields(classify_boolean_gap(f))
     payload = {"arity": f.arity, "table": "".join(str(v) for v in f.table),
                "polynomial": str(poly), **fields}
     lines = [f"arity: {f.arity}", f"polynomial: {poly}", *text]

@@ -34,10 +34,6 @@ if TYPE_CHECKING:
     from .lattice import Lattice
 
 
-class GapUndefinedError(ValueError):
-    """The arity gap needs at least two essential variables."""
-
-
 class EnumerationBudgetError(ValueError):
     """An exhaustive sweep would exceed the configured budget."""
 

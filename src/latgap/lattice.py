@@ -243,6 +243,10 @@ def lattice_from_covers(names: Iterable[str],
                 raise LatticeError(f"elements {names[x]!r} and {names[y]!r} have no {kind}")
             meet_t[x][y] = meet_t[y][x] = m
             join_t[x][y] = join_t[y][x] = j
+    # Row by row, so that each list row is freed as its tuple is made.
+    for table in (meet_t, join_t):
+        for x in range(n):
+            table[x] = tuple(table[x])
 
     # The Hasse edges are the given pairs with nothing strictly between;
     # a closure of the pairs cannot produce any other edge.
@@ -268,8 +272,8 @@ def lattice_from_covers(names: Iterable[str],
                     f"{names[x]} & ({names[y]} | {names[z]}) = {names[lhs]} but "
                     f"({names[x]} & {names[y]}) | ({names[x]} & {names[z]}) = {names[rhs]}")
 
-    return Lattice(names, tuple(up), tuple(down), tuple(map(tuple, meet_t)),
-                   tuple(map(tuple, join_t)), bottoms[0], tops[0], tuple(cover_pairs))
+    return Lattice(names, tuple(up), tuple(down), tuple(meet_t), tuple(join_t),
+                   bottoms[0], tops[0], tuple(cover_pairs))
 
 
 def _chain_names(size: int) -> list[str]:

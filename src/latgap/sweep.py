@@ -1,9 +1,11 @@
 """Exhaustive classifier-against-oracle sweeps, for the CLI and the tests.
 
 One driver loop feeds every item of a domain to that domain's check,
-which returns the oracle's gap (None to skip an item with fewer than
-two essential variables) and a counterexample (None when classifier
-and oracle agree). The first counterexample stops the sweep.
+which runs the classifier and the oracle on it and returns the oracle's
+gap (None, counted as skipped, for an item with fewer than two
+essential variables) and a counterexample (None when classifier and
+oracle agree on the gap and the essential positions). The first
+counterexample stops the sweep.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from typing import Callable, Iterable
 
 from .classify import (classify_boolean_gap, classify_polynomial_gap,
                        classify_pseudo_boolean_gap)
-from .finfun import (FiniteFn, enumerate_all_functions, enumerate_monotone_maps,
-                     ess_bruteforce, gap_bruteforce)
+from .finfun import (FiniteFn, GapReport, enumerate_all_functions,
+                     enumerate_monotone_maps, ess_bruteforce, gap_bruteforce)
 from .lattice import Lattice
-from .polyfn import PolyFn, essential_variables, restrict_to_01, value_table
+from .polyfn import PolyFn, restrict_to_01, value_table
 
 Outcome = tuple[int | None, dict | None]
 
@@ -75,17 +77,24 @@ def _sweep(kind: str, params: dict, scanned_key: str, items: Iterable,
                        gap_counts, time.perf_counter() - start, counterexample)
 
 
+def _agree(verdict, report: GapReport) -> bool:
+    return (verdict.gap == report.gap and report.gap in (None, 1, 2)
+            and frozenset(verdict.essential) == report.essential)
+
+
+def _both_answers(verdict, report: GapReport) -> dict:
+    return {"classifier_gap": verdict.gap, "oracle_gap": report.gap,
+            "essential": list(verdict.essential),
+            "oracle_essential": sorted(report.essential)}
+
+
 def _table_check(classify: Callable[[FiniteFn], object],
                  render: Callable[[bytes], object]) -> Callable[[FiniteFn], Outcome]:
     def check(f: FiniteFn) -> Outcome:
-        actual = gap_bruteforce(f).gap
-        if actual is None:
-            return None, None
-        claimed = classify(f).gap
-        if claimed == actual and actual <= 2:
-            return actual, None
-        return actual, {"table": render(f.table),
-                        "classifier_gap": claimed, "oracle_gap": actual}
+        verdict, report = classify(f), gap_bruteforce(f)
+        if _agree(verdict, report):
+            return report.gap, None
+        return report.gap, {"table": render(f.table), **_both_answers(verdict, report)}
     return check
 
 
@@ -113,18 +122,14 @@ def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
     essentiality criteria must also agree."""
     def check(coeffs: tuple[int, ...]) -> Outcome:
         f = PolyFn(lattice, arity, coeffs)
-        ess = essential_variables(f)
-        claimed = classify_polynomial_gap(f).gap if len(ess) >= 2 else None
+        verdict = classify_polynomial_gap(f)
         report = gap_bruteforce(value_table(f))
-        actual, oracle_ess = report.gap, report.essential
         ess01 = ess_bruteforce(restrict_to_01(f))
-        if claimed == actual and actual in (None, 1, 2) and oracle_ess == ess == ess01:
-            return actual, None
-        return actual, {"coefficients": [nm for _, nm in f.dump()],
-                        "classifier_gap": claimed, "oracle_gap": actual,
-                        "essential": sorted(ess),
-                        "oracle_essential": sorted(oracle_ess),
-                        "restricted_essential": sorted(ess01)}
+        if _agree(verdict, report) and ess01 == report.essential:
+            return report.gap, None
+        return report.gap, {"coefficients": [nm for _, nm in f.dump()],
+                            **_both_answers(verdict, report),
+                            "restricted_essential": sorted(ess01)}
 
     return _sweep("gap-theorem", {"lattice": name, "size": lattice.size, "arity": arity},
                   "monotone_maps", enumerate_monotone_maps(arity, lattice), check)

@@ -102,6 +102,28 @@ def test_pseudo_boolean_sweep_scans_each_function_once(monkeypatch):
     assert len(calls) == 14805
 
 
+def test_gap_theorem_sweep_scans_each_map_once(monkeypatch):
+    # The classifier finds the essential positions once per map and
+    # reads the truncated-median coefficients off the map itself, so
+    # the sweep neither scans a map twice nor builds a reduced function.
+    import latgap.classify as classify
+    import latgap.polyfn as polyfn
+    import latgap.sweep as sweep
+    calls = {"essential_variables": 0, "reduce_to_essential": 0}
+    for name in calls:
+        real = getattr(polyfn, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in (polyfn, classify, sweep):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    report = sweep_gap_theorem("2x2", builtin_lattice("2x2"), 3)
+    assert report.ok and report.scanned == 400
+    assert calls == {"essential_variables": 400, "reduce_to_essential": 0}
+
+
 def test_criterion_3_lattice_sweep_matches_oracle():
     results = lattice_sweep()
     assert set(results) == set(LATTICES)

@@ -3,18 +3,19 @@ from __future__ import annotations
 import ast
 import itertools
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
 import latgap.classify
 from latgap import (FOURTH_FORM, MEDIAN_FORM, MIXED_FORM, SUM_FORM,
-                    BooleanForm, FiniteFn, Gap1, GapUndefinedError,
+                    BooleanForm, FiniteFn, Gap1, GapUndefined,
                     PseudoBooleanCase, TruncatedMedian, ZhegalkinPoly,
                     canonicalize, classify_boolean_gap,
                     classify_polynomial_gap, classify_pseudo_boolean_gap,
                     enumerate_all_functions, ess_bruteforce, gap_bruteforce,
-                    is_truncated_median, parse_expr, reduce_table,
-                    simple_substitution, value_table, zhegalkin_from_table)
+                    parse_expr, reduce_table, simple_substitution,
+                    value_table, zhegalkin_from_table)
 from helpers import monotone_tables_by_filter
 from latgap.polyfn import from_monotone_table
 from latgap.sweep import sweep_boolean, sweep_pseudo_boolean
@@ -25,6 +26,15 @@ XOR = FiniteFn((2, 2), 2, (0, 1, 1, 0))
 AND = FiniteFn((2, 2), 2, (0, 0, 0, 1))
 OR = FiniteFn((2, 2), 2, (0, 1, 1, 1))
 MED3 = FiniteFn((2, 2, 2), 2, (0, 0, 0, 1, 0, 1, 1, 1))
+UNDEFINED = "undefined (fewer than 2 essential variables)"
+
+
+def assert_undefined(verdict, essential):
+    assert verdict == GapUndefined(essential)
+    assert verdict.gap is None
+    assert verdict.essential == essential
+    assert str(verdict) == UNDEFINED
+    assert verdict.to_json() is None
 
 
 def anf_table(poly: ZhegalkinPoly) -> FiniteFn:
@@ -94,10 +104,11 @@ def test_classify_fourth_form_positions():
     poly = ZhegalkinPoly(3, frozenset({0b011, 0b101, 0b110, 0b010, 0b100}))
     verdict = classify_boolean_gap(anf_table(poly))
     assert verdict == BooleanForm(FOURTH_FORM, 3, 0, (2, 3, 1))
+    assert verdict.essential == (1, 2, 3)
 
 
 def test_classify_or_is_gap_one():
-    assert classify_boolean_gap(OR) == Gap1()
+    assert classify_boolean_gap(OR) == Gap1((1, 2))
     assert classify_boolean_gap(OR).gap == 1
     assert gap_bruteforce(OR).gap == 1
 
@@ -110,8 +121,8 @@ def test_classify_sees_through_padding():
 
 
 def test_classify_boolean_needs_two_essential():
-    with pytest.raises(GapUndefinedError):
-        classify_boolean_gap(FiniteFn((2, 2), 2, (0, 1, 0, 1)))
+    assert_undefined(classify_boolean_gap(FiniteFn((2, 2), 2, (0, 1, 0, 1))), (1,))
+    assert_undefined(classify_boolean_gap(FiniteFn((2, 2), 2, (1, 1, 1, 1))), ())
     with pytest.raises(ValueError, match="Boolean"):
         classify_boolean_gap(FiniteFn((2, 2), 3, (0, 1, 2, 0)))
 
@@ -124,7 +135,7 @@ def test_classify_boolean_matches_oracle_exhaustively():
 def test_pseudo_case_one_only():
     f = FiniteFn((2, 2), 3, (0, 1, 2, 0))
     verdict = classify_pseudo_boolean_gap(f)
-    assert verdict == PseudoBooleanCase((1,), None, None)
+    assert verdict == PseudoBooleanCase((1,), None, None, (1, 2))
     assert verdict.gap == 2
     assert gap_bruteforce(f).gap == 2
 
@@ -149,28 +160,27 @@ def test_pseudo_case_two_only():
 
 def test_pseudo_gap_one():
     f = FiniteFn((2, 2), 3, (0, 1, 1, 2))
-    assert classify_pseudo_boolean_gap(f) == Gap1()
+    assert classify_pseudo_boolean_gap(f) == Gap1((1, 2))
     assert gap_bruteforce(f).gap == 1
 
 
 def test_pseudo_rejects_bad_input():
-    with pytest.raises(GapUndefinedError):
-        classify_pseudo_boolean_gap(FiniteFn((2,), 3, (0, 1)))
+    assert_undefined(classify_pseudo_boolean_gap(FiniteFn((2,), 3, (0, 1))), (1,))
     with pytest.raises(ValueError, match="domain"):
         classify_pseudo_boolean_gap(FiniteFn((3, 2), 3, (0,) * 6))
 
 
 def test_pseudo_sees_through_padding():
     # Every function {0,1}^3 -> {0,1,2} with at least two essential
-    # positions gets the verdict of its reduction; below two, none.
+    # positions gets the verdict of its reduction; below two, GapUndefined.
     analyzed = padded = 0
     for f in enumerate_all_functions(3, 2, 3):
-        reduced, _ = reduce_table(f)
-        if reduced.arity < 2:
-            with pytest.raises(GapUndefinedError):
-                classify_pseudo_boolean_gap(f)
-            continue
+        reduced, positions = reduce_table(f)
         verdict = classify_pseudo_boolean_gap(f)
+        assert verdict.essential == positions, f.table
+        if reduced.arity < 2:
+            assert_undefined(verdict, positions)
+            continue
         expect = classify_pseudo_boolean_gap(reduced)
         assert verdict.gap == expect.gap, f.table
         assert getattr(verdict, "cases", None) == getattr(expect, "cases", None), f.table
@@ -184,39 +194,52 @@ def test_pseudo_matches_oracle_exhaustively():
     assert sweep_pseudo_boolean(2, 3).ok
 
 
-def test_truncated_median_detection(c2, c4):
+def test_truncated_median_detection(c2, c4, named_square):
     med = canonicalize(parse_expr(MEDIAN, 3, c2))
-    assert is_truncated_median(med) == (c2.bottom, c2.top)
+    assert classify_polynomial_gap(med) == TruncatedMedian(c2.bottom, c2.top, (1, 2, 3))
     trunc = canonicalize(parse_expr(f"(a | ({MEDIAN})) & b", 3, c4))
-    assert is_truncated_median(trunc) == (c4.element("a"), c4.element("b"))
+    assert classify_polynomial_gap(trunc) == TruncatedMedian(
+        c4.element("a"), c4.element("b"), (1, 2, 3))
+    # With x and y incomparable, (x | median) & y is (x & y) | (median & y).
+    sq = named_square
+    skew = canonicalize(parse_expr(f"(x | ({MEDIAN})) & y", 3, sq))
+    assert classify_polynomial_gap(skew) == TruncatedMedian(
+        sq.element("0"), sq.element("y"), (1, 2, 3))
+    # Three essential positions, but x1 alone already lifts the value.
+    near = canonicalize(parse_expr(f"(a & x1) | ({MEDIAN})", 3, c4))
+    assert classify_polynomial_gap(near) == Gap1((1, 2, 3))
 
 
 def test_truncated_median_survives_padding(c4):
     trunc = canonicalize(parse_expr(f"(a | ({MEDIAN})) & b", 3, c4))
     padded = simple_substitution(trunc, (1, 2, 4), 4)
-    assert is_truncated_median(padded) == (c4.element("a"), c4.element("b"))
+    assert classify_polynomial_gap(padded) == TruncatedMedian(
+        c4.element("a"), c4.element("b"), (1, 2, 4))
+    padded = simple_substitution(trunc, (5, 1, 4), 5)
+    assert classify_polynomial_gap(padded) == TruncatedMedian(
+        c4.element("a"), c4.element("b"), (1, 4, 5))
 
 
 def test_non_medians_rejected(c2, c3):
-    assert is_truncated_median(canonicalize(parse_expr("x1 | x2 | x3", 3, c2))) is None
-    assert is_truncated_median(canonicalize(parse_expr("x1 & x2", 2, c2))) is None
-    assert is_truncated_median(canonicalize(parse_expr("a", 3, c3))) is None
+    disj = canonicalize(parse_expr("x1 | x2 | x3", 3, c2))
+    assert classify_polynomial_gap(disj) == Gap1((1, 2, 3))
+    assert classify_polynomial_gap(canonicalize(parse_expr("x1 & x2", 2, c2))) == Gap1((1, 2))
+    assert_undefined(classify_polynomial_gap(canonicalize(parse_expr("a", 3, c3))), ())
 
 
 def test_classify_polynomial_examples(c2, c4):
     med = canonicalize(parse_expr(MEDIAN, 3, c2))
-    assert classify_polynomial_gap(med) == TruncatedMedian(c2.bottom, c2.top)
+    assert classify_polynomial_gap(med) == TruncatedMedian(c2.bottom, c2.top, (1, 2, 3))
     trunc = canonicalize(parse_expr(f"(a | ({MEDIAN})) & b", 3, c4))
     verdict = classify_polynomial_gap(trunc)
-    assert verdict == TruncatedMedian(c4.element("a"), c4.element("b"))
+    assert verdict == TruncatedMedian(c4.element("a"), c4.element("b"), (1, 2, 3))
     assert verdict.gap == 2
     disj = canonicalize(parse_expr("x1 | x2 | x3", 3, c2))
-    assert classify_polynomial_gap(disj) == Gap1()
+    assert classify_polynomial_gap(disj) == Gap1((1, 2, 3))
 
 
 def test_classify_polynomial_needs_two_essential(c3):
-    with pytest.raises(GapUndefinedError):
-        classify_polynomial_gap(canonicalize(parse_expr("x1", 2, c3)))
+    assert_undefined(classify_polynomial_gap(canonicalize(parse_expr("x1", 2, c3))), (1,))
 
 
 def test_binary_polynomials_have_gap_one(c3):
@@ -224,17 +247,16 @@ def test_binary_polynomials_have_gap_one(c3):
         f = from_monotone_table(table, 2, c3)
         if len(ess_bruteforce(value_table(f))) != 2:
             continue
-        assert classify_polynomial_gap(f) == Gap1()
+        assert classify_polynomial_gap(f) == Gap1((1, 2))
         assert gap_bruteforce(value_table(f)).gap == 1
 
 
 def test_polynomial_classifier_matches_oracle(c2):
     for table in monotone_tables_by_filter(3, c2):
         f = from_monotone_table(table, 3, c2)
-        vt = value_table(f)
-        if len(ess_bruteforce(vt)) < 2:
-            continue
-        assert classify_polynomial_gap(f).gap == gap_bruteforce(vt).gap
+        verdict, report = classify_polynomial_gap(f), gap_bruteforce(value_table(f))
+        assert verdict.gap == report.gap
+        assert verdict.essential == tuple(sorted(report.essential))
 
 
 def test_verdicts_render_themselves(c4):
@@ -242,17 +264,18 @@ def test_verdicts_render_themselves(c4):
     form_json = {"tag": "boolean-form", "gap": 2, "form": "x1x2+x1",
                  "m": 2, "c": 1, "positions": [3, 1]}
     cases = [
-        (Gap1(), "gap1", {"tag": "gap1", "gap": 1}),
+        (GapUndefined((2,)), UNDEFINED, None),
+        (Gap1((1, 2)), "gap1", {"tag": "gap1", "gap": 1}),
         (form, "boolean-form(x1x2+x1, m=2, c=1, positions=[3, 1])", form_json),
-        (PseudoBooleanCase((1, 2), form, (0, 2)),
+        (PseudoBooleanCase((1, 2), form, (0, 2), (1, 3)),
          "pseudo-boolean(cases=[1, 2], inner=boolean-form(x1x2+x1, m=2, c=1, "
          "positions=[3, 1]), g=[0, 2])",
          {"tag": "pseudo-boolean", "gap": 2, "cases": [1, 2],
           "inner": form_json, "unary_map": [0, 2]}),
-        (PseudoBooleanCase((1,), None, None), "pseudo-boolean(cases=[1])",
+        (PseudoBooleanCase((1,), None, None, (1, 3)), "pseudo-boolean(cases=[1])",
          {"tag": "pseudo-boolean", "gap": 2, "cases": [1], "inner": None,
           "unary_map": None}),
-        (TruncatedMedian(c4.element("a"), c4.element("b")),
+        (TruncatedMedian(c4.element("a"), c4.element("b"), (1, 2, 3)),
          "truncated-median(low=a, high=b)",
          {"tag": "truncated-median", "gap": 2, "low": "a", "high": "b"}),
     ]
@@ -269,7 +292,22 @@ def test_classify_imports_no_oracle_code():
             assert not any("finfun" in alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and "finfun" in (node.module or ""):
             names = {alias.name for alias in node.names}
-            assert names <= {"FiniteFn", "GapUndefinedError"}, names
+            assert names <= {"FiniteFn"}, names
+
+
+def test_public_names_resolve_and_exclude_submodules():
+    import latgap
+    submodules = {path.stem for path in Path(latgap.__file__).parent.glob("*.py")}
+    assert "classify" in submodules and not submodules & set(latgap.__all__)
+    namespace: dict = {}
+    exec("from latgap import *", namespace)
+    for name in latgap.__all__:
+        assert not name.startswith("_"), name
+        assert namespace[name] is getattr(latgap, name), name
+        assert not isinstance(namespace[name], ModuleType), name
+    assert {"GapUndefined", "classify_polynomial_gap", "FiniteFn"} <= set(latgap.__all__)
+    assert not {"GapUndefinedError", "is_truncated_median",
+                "GapClassification"} & set(dir(latgap))
 
 
 def _ref_name(node: ast.AST) -> str | None:

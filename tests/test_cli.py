@@ -8,7 +8,7 @@ import pytest
 
 from latgap import (LatticeError, builtin_lattice, chain, ess_bruteforce,
                     enumerate_all_functions)
-from latgap.classify import Gap1
+from latgap.classify import Gap1, GapUndefined, classify_boolean_gap
 from latgap.cli import load_lattice, main
 from helpers import M3_COVERS, M3_NAMES, monotone_tables_by_filter
 
@@ -337,8 +337,14 @@ def test_verify_gap_theorem_chain3(capsys):
 def test_disagreement_exit_code(capsys, monkeypatch):
     import latgap.cli as cli
     import latgap.sweep as sweep
-    monkeypatch.setattr(cli, "classify_boolean_gap", lambda f: Gap1())
-    monkeypatch.setattr(sweep, "classify_boolean_gap", lambda f: Gap1())
+
+    def gap_one(f):
+        # The right essential positions, and gap 1 wherever a gap exists.
+        verdict = classify_boolean_gap(f)
+        return verdict if verdict.gap is None else Gap1(verdict.essential)
+
+    monkeypatch.setattr(cli, "classify_boolean_gap", gap_one)
+    monkeypatch.setattr(sweep, "classify_boolean_gap", gap_one)
     rc, out, _ = run(capsys, ["bool", "analyze", "--table", "0110", "--verify"])
     assert rc == 2
     assert "DISAGREEMENT" in out
@@ -347,6 +353,23 @@ def test_disagreement_exit_code(capsys, monkeypatch):
     assert payload["ok"] is False
     assert payload["counterexample"]["classifier_gap"] == 1
     assert payload["counterexample"]["oracle_gap"] == 2
+
+
+def test_essential_disagreement_exit_code(capsys, monkeypatch):
+    # The right gap with the wrong essential positions is a disagreement.
+    import latgap.sweep as sweep
+
+    def wrong_essential(f):
+        verdict = classify_boolean_gap(f)
+        return GapUndefined((1, 2)) if verdict.gap is None else verdict
+
+    monkeypatch.setattr(sweep, "classify_boolean_gap", wrong_essential)
+    rc, payload, _ = run_json(capsys, ["verify", "boolean", "--arity", "2"])
+    assert rc == 2
+    assert payload["ok"] is False
+    assert payload["counterexample"] == {
+        "table": "0000", "classifier_gap": None, "oracle_gap": None,
+        "essential": [1, 2], "oracle_essential": []}
 
 
 def test_argparse_exits_are_remapped(capsys):
