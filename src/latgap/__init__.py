@@ -13,7 +13,7 @@ from .classify import (FOURTH_FORM, MEDIAN_FORM, MIXED_FORM, SUM_FORM,
                        classify_polynomial_gap, classify_pseudo_boolean_gap,
                        zhegalkin_from_table)
 from .finfun import (DEFAULT_BUDGET, EnumerationBudgetError, FiniteFn,
-                     GapReport, enumerate_all_functions,
+                     GapReport, boolean_gap_codes, enumerate_all_functions,
                      enumerate_monotone_maps, ess_bruteforce, format_finite_fn,
                      gap_bruteforce, identify_table, parse_finite_fn,
                      point_at, point_index, reduce_table, salomaa_function)

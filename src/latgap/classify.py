@@ -9,6 +9,10 @@ essential positions (the verdict is GapUndefined, as the oracle's
 - Boolean functions: take the Zhegalkin polynomial, whose variables are
   exactly the essential ones, and test membership in the four gap-2
   families (up to permutation of variables). Everything else has gap 1.
+  The polynomial comes from a Moebius transform of the table read as
+  one integer, n shift-xor steps with cached masks; beyond three
+  essential variables only the sum form is possible, and it is read
+  off the raw monomial masks.
 - Functions from {0,1}^n into an arbitrary finite set: gap 2 exactly
   when two variables are essential and f(0,0) = f(1,1) on them (the
   others at 0), or when f factors as an injective unary map composed
@@ -21,7 +25,9 @@ essential positions (the verdict is GapUndefined, as the oracle's
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .finfun import FiniteFn
@@ -79,18 +85,39 @@ class ZhegalkinPoly:
         return " + ".join(parts)
 
 
+# Entry values as text digits, and text digits back as byte values.
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@functools.lru_cache(maxsize=32)
+def _lower_halves(n: int) -> tuple[int, ...]:
+    # Mask k has bit p set, over 2**n bits, exactly when bit k of p is
+    # clear; built by doubling.
+    total = 1 << n
+    masks = []
+    for k in range(n):
+        block = 1 << k
+        mask = (1 << block) - 1
+        width = 2 * block
+        while width < total:
+            mask |= mask << width
+            width *= 2
+        masks.append(mask)
+    return tuple(masks)
+
+
 def zhegalkin_from_table(f: FiniteFn) -> ZhegalkinPoly:
     """Parity-transform a Boolean value table into its unique polynomial."""
     if any(a != 2 for a in f.sizes) or f.codomain != 2:
         raise ValueError("a Boolean function over {0,1}^n is required")
-    coeffs = list(f.table)
-    n = f.arity
-    for k in range(n):
-        bit = 1 << k
-        for mask in range(1 << n):
-            if mask & bit:
-                coeffs[mask] ^= coeffs[mask ^ bit]
-    return ZhegalkinPoly(n, frozenset(m for m, c in enumerate(coeffs) if c))
+    # Bit p of t is entry p. Step k xors every entry into the one with
+    # bit k also set, the Moebius transform over that bit.
+    t = int(f.table[::-1].translate(_TO_DIGITS), 2)
+    for k, mask in enumerate(_lower_halves(f.arity)):
+        t ^= (t & mask) << (1 << k)
+    coeffs = format(t, "b")[::-1].encode().translate(_FROM_DIGITS)
+    return ZhegalkinPoly(f.arity, frozenset(compress(range(len(coeffs)), coeffs)))
 
 
 @dataclass(frozen=True)
@@ -235,16 +262,20 @@ def classify_boolean_gap(f: FiniteFn) -> GapUndefined | Gap1 | BooleanForm:
     if len(positions) < 2:
         return GapUndefined(positions)
     m = len(positions)
+    c = 1 if 0 in poly.monomials else 0
+    # Every variable occurs, so monomials of at most one variable each
+    # make the sum form.
+    if all(msk & (msk - 1) == 0 for msk in poly.monomials):
+        return BooleanForm(SUM_FORM, m, c, positions)
+    if m > 3:
+        return Gap1(positions)
     # Renumber the monomials so that positions[t] becomes bit t.
     mono = {sum(1 << t for t, p in enumerate(positions) if (msk >> (p - 1)) & 1)
             for msk in poly.monomials}
-    c = 1 if 0 in mono else 0
     mono.discard(0)
     singles = sorted(msk for msk in mono if bin(msk).count("1") == 1)
     full_triangle = {0b011, 0b101, 0b110}
 
-    if mono == {1 << t for t in range(m)}:
-        return BooleanForm(SUM_FORM, m, c, positions)
     if m == 2 and len(singles) == 1 and mono == {0b11, singles[0]}:
         lead = singles[0].bit_length()
         other = 3 - lead

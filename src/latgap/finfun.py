@@ -20,6 +20,15 @@ every entry up with the entry one digit higher at position k, so k is
 inessential exactly when ((T << 8*stride_k) ^ T) vanishes on the
 entries whose digit at k is not the last. Those byte masks are the only
 memoised data, in a bounded cache keyed on the alphabet sizes.
+
+`boolean_gap_codes` answers the same questions for every Boolean
+function of one arity at once, bit-sliced (E. Biham, "A fast new DES
+implementation in software", FSE 1997): one big integer per point,
+whose bit F is the value of function F there. It too reads values
+only, and `gap_bruteforce` stays the reference for single functions.
+
+This module imports no other latgap module at run time, so the oracle
+knows only value tables.
 """
 
 from __future__ import annotations
@@ -228,6 +237,101 @@ def gap_bruteforce(f: FiniteFn) -> GapReport:
         if best == limit:
             break
     return GapReport(ess, len(ess), best, len(ess) - best)
+
+
+def _periodic(block: int, total: int) -> int:
+    # Over `total` bits, the bits whose index has bit log2(block) set:
+    # bit F set exactly when (F // block) is odd. Built by doubling.
+    pattern = ((1 << block) - 1) << block
+    width = 2 * block
+    while width < total:
+        pattern |= pattern << width
+        width *= 2
+    return pattern
+
+
+def _essential_planes(columns: Sequence[int], n: int) -> list[int]:
+    # Plane k-1 has bit F set when position k is essential for function
+    # F: some two points differing only at k get different values.
+    planes = []
+    for k in range(n):
+        bit = 1 << k
+        plane = 0
+        for p, column in enumerate(columns):
+            if not p & bit:
+                plane |= column ^ columns[p | bit]
+        planes.append(plane)
+    return planes
+
+
+# Turns the text digits of a plane into bytes of value 0 and 1.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _byte_per_bit(plane: int, total: int) -> int:
+    # An integer whose little-endian byte F is bit F of `plane`.
+    return int.from_bytes(format(plane, f"0{total}b").encode().translate(_DIGIT_VALUES),
+                          "big")
+
+
+def boolean_gap_codes(n: int) -> tuple[bytes, bytes]:
+    """Essential positions and arity gap of every Boolean function of
+    arity n, bit-sliced.
+
+    Returns two `bytes` of length 2**(2**n), indexed like
+    `enumerate_all_functions(n, 2, 2)`: byte F of the first is the mask
+    of function F's essential positions (bit k-1 for position k), and
+    byte F of the second its gap code: 0 below two essential positions
+    (gap undefined), 1, 2, or 3 for a gap of 3 or more.
+
+    Entry p of table F is bit 2**n-1-p of F, so the column of point p,
+    the integer whose bit F is F's value at p, is a periodic bit
+    pattern. Identifying position i with j re-indexes the columns, and
+    per pair two accumulators over the positions other than i, "lost
+    one" and "lost two", mark the functions whose minor drops no further
+    essential position (gap 1) or at most one (gap at most 2).
+
+    Raises ValueError for a negative or non-int n, and
+    EnumerationBudgetError, before building anything, when the
+    2**(2**n) functions exceed DEFAULT_BUDGET.
+    """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("arity must be a nonnegative int")
+    # 2**points > DEFAULT_BUDGET exactly when points >= limit; decided
+    # from n first, so that a large n builds no large integer.
+    limit = DEFAULT_BUDGET.bit_length()
+    if n >= limit.bit_length() or 1 << n >= limit:
+        raise EnumerationBudgetError(
+            f"2**(2**{n}) functions exceed the budget of {DEFAULT_BUDGET}")
+    points = 1 << n
+    total = 1 << points
+    columns = [_periodic(1 << (points - 1 - p), total) for p in range(points)]
+    ess = _essential_planes(columns, n)
+    seen = analysed = 0  # at least one, at least two essential positions
+    for plane in ess:
+        analysed |= seen & plane
+        seen |= plane
+    gap1 = at_most2 = 0
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            # Point p of the minor reads point sigma(p) of f: bit i set to bit j.
+            minor = [columns[(p & ~(1 << i)) | ((p >> j & 1) << i)]
+                     for p in range(points)]
+            lost_one = lost_two = 0
+            for k, kept in enumerate(_essential_planes(minor, n)):
+                if k != i:
+                    lost = ess[k] & ~kept
+                    lost_two |= lost_one & lost
+                    lost_one |= lost
+            both = ess[i] & ess[j]
+            gap1 |= both & ~lost_one
+            at_most2 |= both & ~lost_two
+    masks = sum(_byte_per_bit(plane, total) << k for k, plane in enumerate(ess))
+    codes = sum(_byte_per_bit(plane, total)
+                for plane in (analysed, analysed & ~gap1, analysed & ~at_most2))
+    return masks.to_bytes(total, "little"), codes.to_bytes(total, "little")
 
 
 def reduce_table(f: FiniteFn) -> tuple[FiniteFn, tuple[int, ...]]:

@@ -6,6 +6,13 @@ gap (None, counted as skipped, for an item with fewer than two
 essential variables) and a counterexample (None when classifier and
 oracle agree on the gap and the essential positions). The first
 counterexample stops the sweep.
+
+The Boolean sweep takes the oracle's answers for the whole domain at
+once from the bit-sliced `boolean_gap_codes` and still runs the library
+classifier on every function. A disagreement is replayed through
+`gap_bruteforce`, so the counterexample comes from the per-function
+pair; only when that replay sides with the classifier does it also
+name the batch answer (`batch_gap`, `batch_essential`).
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Callable, Iterable
 
 from .classify import (classify_boolean_gap, classify_polynomial_gap,
                        classify_pseudo_boolean_gap)
-from .finfun import (FiniteFn, GapReport, enumerate_all_functions,
+from .finfun import (FiniteFn, GapReport, boolean_gap_codes, enumerate_all_functions,
                      enumerate_monotone_maps, ess_bruteforce, gap_bruteforce)
 from .lattice import Lattice
 from .polyfn import PolyFn, restrict_to_01, value_table
@@ -98,12 +105,34 @@ def _table_check(classify: Callable[[FiniteFn], object],
     return check
 
 
+# The gap that boolean_gap_codes' code stands for; 3 means 3 or more.
+_CODE_GAPS = (None, 1, 2, 3)
+
+
 def sweep_boolean(arity: int) -> SweepReport:
-    """classify_boolean_gap against gap_bruteforce on every Boolean
-    function of the given arity."""
-    check = _table_check(classify_boolean_gap, lambda t: "".join(map(str, t)))
+    """classify_boolean_gap against the bit-sliced oracle on every Boolean
+    function of the given arity, with gap_bruteforce replaying any
+    disagreement. A batch gap code of 3 is always a disagreement."""
+    functions = enumerate_all_functions(arity, 2, 2)
+    masks, codes = boolean_gap_codes(arity)
+    positions = [frozenset(k + 1 for k in range(arity) if (mask >> k) & 1)
+                 for mask in range(1 << arity)]
+
+    def check(item: tuple[FiniteFn, int, int]) -> Outcome:
+        f, mask, code = item
+        verdict = classify_boolean_gap(f)
+        gap = _CODE_GAPS[code]
+        if (verdict.gap == gap and gap != 3
+                and frozenset(verdict.essential) == positions[mask]):
+            return gap, None
+        report = gap_bruteforce(f)
+        found = {"table": "".join(map(str, f.table)), **_both_answers(verdict, report)}
+        if _agree(verdict, report):
+            found.update(batch_gap=gap, batch_essential=sorted(positions[mask]))
+        return report.gap, found
+
     return _sweep("boolean", {"arity": arity}, "scanned",
-                  enumerate_all_functions(arity, 2, 2), check)
+                  zip(functions, masks, codes), check)
 
 
 def sweep_pseudo_boolean(arity: int, codomain: int) -> SweepReport:

@@ -9,6 +9,7 @@ which knows nothing beyond raw value tables.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from functools import lru_cache
@@ -69,6 +70,23 @@ def test_criterion_1_boolean_sweep_matches_oracle():
     print("PASS criterion 1: boolean sweep n=2,3,4 "
           f"({sum(r.analyzed for r in results.values())} functions, "
           f"0 disagreements, n=4 in {results[4].elapsed:.1f}s)")
+
+
+def boolean_gap_two_count(n: int) -> int:
+    """Members of Salomaa's four gap-2 families at arity n: sum forms on
+    at least 2 of the n variables, x1x2 + x1 on an ordered pair, and the
+    two 3-variable forms (x1x2 + x1x3 + x2x3 once, its fourth-form
+    variant three times), each with parity constant 0 or 1."""
+    return 2 * (2 ** n - n - 1) + 2 * n * (n - 1) + 8 * math.comb(n, 3)
+
+
+def test_criterion_1_gap_two_count_predicted():
+    results = boolean_sweep()
+    assert [boolean_gap_two_count(n) for n in results] == [6, 28, 78]
+    for n, r in results.items():
+        assert r.gap_counts[2] == boolean_gap_two_count(n), n
+    print("PASS criterion 1 (predicted): gap-2 counts 6, 28, 78 match "
+          "Salomaa's families")
 
 
 def test_criterion_2_pseudo_boolean_sweep_matches_oracle():
@@ -152,6 +170,25 @@ def test_criterion_3_arity_four_sweeps_pinned():
         assert r.elapsed < 60, f"{name}: {r.elapsed:.1f}s"
     print("PASS criterion 3 (arity 4): chain2 and chain3 sweeps match the "
           "oracle with pinned counts")
+
+
+def test_criterion_3_counts_predicted():
+    # With s strict pairs a < b in L, the maps with fewer than two
+    # essential variables are the |L| constants and, per position, the
+    # s maps x -> a or (x and b); the gap-2 maps are the s truncated
+    # medians on each of the C(n, 3) position triples.
+    reports = [r for rs in lattice_sweep().values() for r in rs]
+    reports += [sweep_gap_theorem(name, builtin_lattice(name), 4)
+                for name in ("chain2", "chain3")]
+    for r in reports:
+        lat = builtin_lattice(r.params["lattice"])
+        s = sum(lat.leq(a, b) for a in lat.elements for b in lat.elements if a != b)
+        n = r.params["arity"]
+        assert r.ok
+        assert r.scanned - r.analyzed == lat.size + s * n, r.params
+        assert r.gap_counts[2] == s * math.comb(n, 3), r.params
+    print(f"PASS criterion 3 (predicted): skipped and gap-2 counts on "
+          f"{len(reports)} sweeps match |L| + s*n and s*C(n,3)")
 
 
 def test_criterion_4_essentiality_criteria_agree():

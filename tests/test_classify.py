@@ -8,6 +8,7 @@ from types import ModuleType
 import pytest
 
 import latgap.classify
+import latgap.finfun
 from latgap import (FOURTH_FORM, MEDIAN_FORM, MIXED_FORM, SUM_FORM,
                     BooleanForm, FiniteFn, Gap1, GapUndefined,
                     PseudoBooleanCase, TruncatedMedian, ZhegalkinPoly,
@@ -293,6 +294,47 @@ def test_classify_imports_no_oracle_code():
         elif isinstance(node, ast.ImportFrom) and "finfun" in (node.module or ""):
             names = {alias.name for alias in node.names}
             assert names <= {"FiniteFn"}, names
+
+
+def _runtime_imports(nodes) -> list[ast.AST]:
+    """Import statements among `nodes` and below them, except in the
+    body of an `if TYPE_CHECKING:`."""
+    found = []
+    for node in nodes:
+        if isinstance(node, ast.If) and _ref_name(node.test) == "TYPE_CHECKING":
+            found += _runtime_imports(node.orelse)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        found += _runtime_imports(ast.iter_child_nodes(node))
+    return found
+
+
+def test_finfun_imports_no_other_latgap_module():
+    # The oracle, the bit-sliced one included, knows only value tables:
+    # other latgap modules may appear in type annotations alone.
+    def latgap_imports(source: str) -> list[int]:
+        lines = []
+        for node in _runtime_imports(ast.parse(source).body):
+            if isinstance(node, ast.ImportFrom):
+                names = [("." * node.level) + (node.module or "")]
+            else:
+                names = [alias.name for alias in node.names]
+            if any(name.startswith((".", "latgap")) for name in names):
+                lines.append(node.lineno)
+        return lines
+
+    samples = {
+        "from .lattice import Lattice": [1],
+        "import latgap.polyfn": [1],
+        "def f():\n    from . import classify": [2],
+        "if TYPE_CHECKING:\n    from .lattice import Lattice": [],
+        "if TYPE_CHECKING:\n    pass\nelse:\n    from .polyfn import PolyFn": [4],
+        "import math\nfrom typing import TYPE_CHECKING": [],
+    }
+    for source, lines in samples.items():
+        assert latgap_imports(source) == lines, source
+    assert latgap_imports(Path(latgap.finfun.__file__).read_text()) == []
 
 
 def test_public_names_resolve_and_exclude_submodules():

@@ -3,12 +3,14 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from latgap import (LatticeError, builtin_lattice, chain, ess_bruteforce,
-                    enumerate_all_functions)
-from latgap.classify import Gap1, GapUndefined, classify_boolean_gap
+from latgap import (GapReport, LatticeError, builtin_lattice, chain, ess_bruteforce,
+                    enumerate_all_functions, gap_bruteforce)
+from latgap.classify import (Gap1, GapUndefined, classify_boolean_gap,
+                             classify_polynomial_gap)
 from latgap.cli import load_lattice, main
 from helpers import M3_COVERS, M3_NAMES, monotone_tables_by_filter
 
@@ -370,6 +372,117 @@ def test_essential_disagreement_exit_code(capsys, monkeypatch):
     assert payload["counterexample"] == {
         "table": "0000", "classifier_gap": None, "oracle_gap": None,
         "essential": [1, 2], "oracle_essential": []}
+
+
+GAP_THEOREM = ["verify", "gap-theorem", "--lattice", "chain3", "--arity", "3"]
+# The first truncated median the chain3 sweep meets: (0 or median) and a.
+MEDIAN_COEFFICIENTS = ["0", "0", "0", "a", "0", "a", "a", "a"]
+
+
+def test_gap_theorem_sweep_checks_the_classifier(capsys, monkeypatch):
+    import latgap.sweep as sweep
+
+    def gap_one(f):
+        verdict = classify_polynomial_gap(f)
+        return verdict if verdict.gap is None else Gap1(verdict.essential)
+
+    monkeypatch.setattr(sweep, "classify_polynomial_gap", gap_one)
+    rc, payload, _ = run_json(capsys, GAP_THEOREM)
+    assert (rc, payload["ok"], payload["monotone_maps"]) == (2, False, 28)
+    assert payload["counterexample"] == {
+        "coefficients": MEDIAN_COEFFICIENTS, "classifier_gap": 1, "oracle_gap": 2,
+        "essential": [1, 2, 3], "oracle_essential": [1, 2, 3],
+        "restricted_essential": [1, 2, 3]}
+
+
+def test_gap_theorem_sweep_rejects_a_gap_of_three(capsys, monkeypatch):
+    # An oracle gap of 3 on a lattice polynomial is a disagreement even
+    # when the classifier reports the same gap.
+    import latgap.sweep as sweep
+
+    def gap_three(report):
+        return GapReport(report.essential, report.ess, report.ess - 3, 3)
+
+    def oracle(f):
+        report = gap_bruteforce(f)
+        return gap_three(report) if report.gap == 2 else report
+
+    def classifier(f):
+        verdict = classify_polynomial_gap(f)
+        return verdict if verdict.gap != 2 else SimpleNamespace(
+            gap=3, essential=verdict.essential)
+
+    monkeypatch.setattr(sweep, "gap_bruteforce", oracle)
+    monkeypatch.setattr(sweep, "classify_polynomial_gap", classifier)
+    rc, payload, _ = run_json(capsys, GAP_THEOREM)
+    assert (rc, payload["ok"], payload["monotone_maps"]) == (2, False, 28)
+    assert payload["counterexample"] == {
+        "coefficients": MEDIAN_COEFFICIENTS, "classifier_gap": 3, "oracle_gap": 3,
+        "essential": [1, 2, 3], "oracle_essential": [1, 2, 3],
+        "restricted_essential": [1, 2, 3]}
+
+
+def test_gap_theorem_sweep_checks_the_restriction(capsys, monkeypatch):
+    # Classifier and oracle agree; only the 0/1-point restriction is off.
+    import latgap.sweep as sweep
+
+    def drop_last(f):
+        essential = ess_bruteforce(f)
+        return essential - {max(essential)} if essential else essential
+
+    monkeypatch.setattr(sweep, "ess_bruteforce", drop_last)
+    rc, payload, _ = run_json(capsys, GAP_THEOREM)
+    assert (rc, payload["ok"], payload["monotone_maps"]) == (2, False, 2)
+    assert payload["counterexample"] == {
+        "coefficients": ["0"] * 7 + ["a"], "classifier_gap": 1, "oracle_gap": 1,
+        "essential": [1, 2, 3], "oracle_essential": [1, 2, 3],
+        "restricted_essential": [1, 2]}
+
+
+def test_boolean_sweep_names_a_wrong_batch_oracle(capsys, monkeypatch):
+    # The classifier and gap_bruteforce agree on exclusive or, so the
+    # counterexample blames the bit-sliced answers.
+    import latgap.sweep as sweep
+    real = sweep.boolean_gap_codes
+
+    def flipped(n):
+        masks, codes = real(n)
+        xor = 0b0110
+        return masks, codes[:xor] + bytes([1]) + codes[xor + 1:]
+
+    monkeypatch.setattr(sweep, "boolean_gap_codes", flipped)
+    rc, payload, _ = run_json(capsys, ["verify", "boolean", "--arity", "2"])
+    assert (rc, payload["ok"], payload["scanned"]) == (2, False, 7)
+    assert payload["counterexample"] == {
+        "table": "0110", "classifier_gap": 2, "oracle_gap": 2,
+        "essential": [1, 2], "oracle_essential": [1, 2],
+        "batch_gap": 1, "batch_essential": [1, 2]}
+    rc, out, _ = run(capsys, ["verify", "boolean", "--arity", "2"])
+    assert rc == 2 and '"batch_gap": 1' in out and out.endswith("result: DISAGREEMENT\n")
+
+
+def test_boolean_sweep_rejects_a_batch_gap_of_three(capsys, monkeypatch):
+    # A batch gap code of 3 is a disagreement even when the classifier
+    # reports the same gap; the replay then shows the true gap.
+    import latgap.sweep as sweep
+    real = sweep.boolean_gap_codes
+
+    def three(n):
+        masks, codes = real(n)
+        return masks, codes.replace(b"\x02", b"\x03")
+
+    def classifier(f):
+        verdict = classify_boolean_gap(f)
+        return verdict if verdict.gap != 2 else SimpleNamespace(
+            gap=3, essential=verdict.essential)
+
+    monkeypatch.setattr(sweep, "boolean_gap_codes", three)
+    monkeypatch.setattr(sweep, "classify_boolean_gap", classifier)
+    rc, payload, _ = run_json(capsys, ["verify", "boolean", "--arity", "2"])
+    assert (rc, payload["ok"], payload["scanned"]) == (2, False, 3)
+    assert payload["counterexample"] == {
+        "table": "0010", "classifier_gap": 3, "oracle_gap": 2,
+        "essential": [1, 2], "oracle_essential": [1, 2]}
 
 
 def test_argparse_exits_are_remapped(capsys):

@@ -4,11 +4,12 @@ import array
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
 import latgap.finfun
-from latgap import (EnumerationBudgetError, FiniteFn, chain,
+from latgap import (EnumerationBudgetError, FiniteFn, boolean_gap_codes, chain,
                     enumerate_all_functions, enumerate_monotone_maps,
                     ess_bruteforce, format_finite_fn, gap_bruteforce,
                     identify_table, parse_finite_fn, point_at, reduce_table,
@@ -222,6 +223,48 @@ def test_enumeration_budget(monkeypatch):
     # the codomain bound is checked on the call, before anything is drawn
     with pytest.raises(ValueError, match="exceeds the bound of 256"):
         enumerate_all_functions(1, 2, 257)
+
+
+def test_boolean_gap_codes_match_oracle_exhaustively():
+    # The bit-sliced oracle against gap_bruteforce on every Boolean
+    # function up to arity 4, in enumeration order; no gap reaches 3.
+    for n in range(5):
+        masks, codes = boolean_gap_codes(n)
+        assert len(masks) == len(codes) == 1 << (1 << n)
+        for f, mask, code in zip(enumerate_all_functions(n, 2, 2), masks, codes,
+                                 strict=True):
+            report = gap_bruteforce(f)
+            assert mask == sum(1 << (k - 1) for k in report.essential), f.table
+            assert code == (0 if report.gap is None else report.gap), f.table
+        assert codes.count(3) == 0
+    # Function F has table bits F read big-endian: 0001 is AND (gap 1),
+    # 0010 and 0110 have gap 2, 0011 and 0101 one essential position.
+    assert boolean_gap_codes(2) == (bytes([0, 3, 3, 2, 3, 1, 3, 3, 3, 3, 1, 3, 2, 3, 3, 0]),
+                                    bytes([0, 1, 2, 0, 2, 0, 2, 1, 1, 2, 0, 2, 0, 2, 1, 0]))
+
+
+def test_boolean_gap_codes_budget(monkeypatch):
+    with pytest.raises(ValueError, match="nonnegative"):
+        boolean_gap_codes(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        boolean_gap_codes(2.0)
+    # Refused before any column is built: a 2**32-bit column alone would
+    # take 512 MiB, and 2**(2**100) cannot be built at all.
+    for n in (5, 100, 10 ** 9):
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationBudgetError, match="exceed the budget"):
+                boolean_gap_codes(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (n, peak)
+    # The budget is read when called, and a budget of exactly 2**(2**n) holds.
+    monkeypatch.setattr(latgap.finfun, "DEFAULT_BUDGET", 16)
+    assert len(boolean_gap_codes(2)[0]) == 16
+    monkeypatch.setattr(latgap.finfun, "DEFAULT_BUDGET", 15)
+    with pytest.raises(EnumerationBudgetError):
+        boolean_gap_codes(2)
 
 
 def test_text_format_round_trip():
