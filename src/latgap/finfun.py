@@ -11,15 +11,25 @@ Points are encoded little-endian: position 1 is the fastest-moving
 digit of the table index, so the digit of position k repeats in runs of
 stride_k = |A_1|...|A_{k-1}| entries. A table is a `bytes` object, one
 byte per entry, so a codomain has at most MAX_CODOMAIN = 256 values and
-the inner loops run in C: minors are built from slices of those runs,
-and values are checked with one `bytes.translate`.
+the inner loops run in C: large minors are built from slices of those
+runs, and values are checked with one `bytes.translate`.
 
 Essentiality reads the whole table as one big-endian integer T, entry 0
 in the most significant byte. Shifting T left by 8*stride_k bits lines
 every entry up with the entry one digit higher at position k, so k is
 inessential exactly when ((T << 8*stride_k) ^ T) vanishes on the
-entries whose digit at k is not the last. Those byte masks are the only
-memoised data, in a bounded cache keyed on the alphabet sizes.
+entries whose digit at k is not the last.
+
+Identification minors are built on T as well: one mask keeps the
+diagonal (digit i equal to digit j), and 2(|A| - 1) shifts by
+8*stride_i, each masked to the entries whose digit at i is not the
+first (not the last), copy every kept entry up (down) position i. That
+shifts (|A| - 1) times the table's length each way, so it serves
+minors where that product is at most WORD_MINOR_BYTES; beyond it,
+where the fewer, longer runs of a large alphabet make slicing cheaper,
+minors are built from slices. The byte masks are the only memoised
+data, each in a bounded cache keyed on the alphabet sizes and
+positions, and each at most WORD_MINOR_BYTES long for a minor.
 
 `boolean_gap_codes` answers the same questions for every Boolean
 function of one arity at once, bit-sliced (E. Biham, "A fast new DES
@@ -55,6 +65,10 @@ MAX_CODOMAIN = 256
 # _BYTES[:c] lists the values of a codomain of c values; deleting them
 # from a table leaves the values outside it.
 _BYTES = bytes(range(MAX_CODOMAIN))
+
+# identify_table builds a minor word-level when (|A| - 1) * entries is
+# at most this, and from slices beyond it.
+WORD_MINOR_BYTES = 1 << 14
 
 
 def _check_codomain(codomain: int) -> None:
@@ -164,6 +178,29 @@ def _not_last_digit(sizes: tuple[int, ...], pos: int) -> int:
     return int.from_bytes(pattern * (math.prod(sizes) // block), "big")
 
 
+@functools.lru_cache(maxsize=128)
+def _not_first_digit(sizes: tuple[int, ...], pos: int) -> int:
+    # Twin of _not_last_digit: 0xff on every entry whose digit at `pos`
+    # is not 0.
+    stride = math.prod(sizes[:pos - 1])
+    block = stride * sizes[pos - 1]
+    pattern = bytes(stride) + b"\xff" * (block - stride)
+    return int.from_bytes(pattern * (math.prod(sizes) // block), "big")
+
+
+@functools.lru_cache(maxsize=128)
+def _diagonal(sizes: tuple[int, ...], i: int, j: int) -> int:
+    # 0xff on every entry whose digits at i < j are equal, as a
+    # big-endian integer the length of the table. Within the run where
+    # digit j is v, the entries with digit v at i recur every si*size.
+    size = sizes[i - 1]
+    si, sj = math.prod(sizes[:i - 1]), math.prod(sizes[:j - 1])
+    repeat = sj // (si * size)
+    block = b"".join([(bytes(v * si) + b"\xff" * si + bytes((size - 1 - v) * si)) * repeat
+                      for v in range(size)])
+    return int.from_bytes(block * (math.prod(sizes) // (sj * size)), "big")
+
+
 def ess_bruteforce(f: FiniteFn) -> frozenset[int]:
     """Definitional essentiality: position k is essential when two points
     differing only at k get different values."""
@@ -190,6 +227,18 @@ def identify_table(f: FiniteFn, i: int, j: int) -> FiniteFn:
         raise ValueError("positions to identify must share an alphabet size")
     size = f.sizes[i - 1]
     si = math.prod(f.sizes[:i - 1])
+    if (size - 1) * len(f.table) <= WORD_MINOR_BYTES:
+        # Entry p of the minor is entry p + (p_j - p_i)*si of f, which is
+        # on the diagonal; walk the diagonal to it one digit of i at a time.
+        shift = 8 * si
+        up = down = int.from_bytes(f.table, "big") & _diagonal(f.sizes, min(i, j), max(i, j))
+        minor = up
+        not_first, not_last = _not_first_digit(f.sizes, i), _not_last_digit(f.sizes, i)
+        for _ in range(size - 1):
+            up = (up >> shift) & not_first
+            down = (down << shift) & not_last
+            minor |= up | down
+        return FiniteFn(f.sizes, f.codomain, minor.to_bytes(len(f.table), "big"))
     # Stride of position j once position i is sliced away.
     sj = math.prod(f.sizes[:j - 1]) // (size if j > i else 1)
     diagonal = _interleave([_slab(_slab(f.table, si, size, v), sj, size, v)
@@ -376,34 +425,43 @@ def enumerate_monotone_maps(n: int, lattice: "Lattice") -> Iterator[tuple[int, .
 
     Backtracks over masks in numeric order, which linearly extends the
     subset order, so pruning only needs the immediate sub-subsets: each
-    candidate value must sit above the join of their values.
+    candidate value must sit above the join of their values. The
+    backtracking is one loop: left[mask] is the bitmask of the
+    candidates at `mask` not tried yet, lowest index first.
     """
     if not isinstance(n, int) or not 0 <= n <= 16:
         raise ValueError("arity must be an int in 0..16")
     size = 1 << n
-    k = lattice.size
     join_t = lattice._join
     up = lattice._up
     bottom = lattice.bottom_index
-    coeffs = [0] * size
 
-    def rec(mask: int) -> Iterator[tuple[int, ...]]:
-        if mask == size:
-            yield tuple(coeffs)
-            return
-        floor = bottom
-        mm = mask
-        while mm:
-            bit = mm & -mm
-            mm ^= bit
-            floor = join_t[floor][coeffs[mask ^ bit]]
-        allowed = up[floor]
-        for v in range(k):
-            if (allowed >> v) & 1:
-                coeffs[mask] = v
-                yield from rec(mask + 1)
+    def maps() -> Iterator[tuple[int, ...]]:
+        subsets = [tuple(mask ^ (1 << k) for k in range(n) if mask >> k & 1)
+                   for mask in range(size)]
+        coeffs = [bottom] * size
+        left = [0] * size
+        left[0] = up[bottom]
+        last = size - 1
+        mask = 0
+        while mask >= 0:
+            rest = left[mask]
+            if not rest:
+                mask -= 1
+                continue
+            low = rest & -rest
+            left[mask] = rest ^ low
+            coeffs[mask] = low.bit_length() - 1
+            if mask == last:
+                yield tuple(coeffs)
+                continue
+            mask += 1
+            floor = bottom
+            for sub in subsets[mask]:
+                floor = join_t[floor][coeffs[sub]]
+            left[mask] = up[floor]
 
-    return rec(0)
+    return maps()
 
 
 def enumerate_all_functions(n: int, a: int, b: int) -> Iterator[FiniteFn]:
@@ -420,11 +478,19 @@ def enumerate_all_functions(n: int, a: int, b: int) -> Iterator[FiniteFn]:
         raise ValueError("arity must be a nonnegative int")
     if a < 2 or b < 2:
         raise ValueError("alphabet sizes must be at least 2")
-    points = a ** n
-    total = b ** points
-    if total > DEFAULT_BUDGET:
-        raise EnumerationBudgetError(
-            f"{total} functions exceed the budget of {DEFAULT_BUDGET}")
+    # b**(a**n) multiplied up with an early exit, so that a large n
+    # never builds a large integer.
+    points = 1
+    for _ in range(n):
+        points *= a
+        if points > DEFAULT_BUDGET:
+            break
+    total = 1
+    for _ in range(points):
+        total *= b
+        if total > DEFAULT_BUDGET:
+            raise EnumerationBudgetError(
+                f"{b}**({a}**{n}) functions exceed the budget of {DEFAULT_BUDGET}")
     sizes = (a,) * n
     return (FiniteFn(sizes, b, bytes(tab))
             for tab in itertools.product(range(b), repeat=points))

@@ -184,59 +184,78 @@ def _eval_indices(f: PolyFn, point: Sequence[int]) -> int:
     return acc
 
 
+def check_table_budget(lattice: Lattice, arity: int) -> None:
+    """Raise EnumerationBudgetError when |L|^arity exceeds
+    finfun.DEFAULT_BUDGET entries, and ValueError when |L| exceeds
+    finfun.MAX_CODOMAIN, the most values a table holds."""
+    k = lattice.size
+    if k ** arity > DEFAULT_BUDGET:
+        raise EnumerationBudgetError(
+            f"a value table of {k}^{arity} entries exceeds the budget "
+            f"of {DEFAULT_BUDGET}")
+    if k > MAX_CODOMAIN:
+        raise ValueError(f"a value table over {k} elements exceeds the bound of "
+                         f"{MAX_CODOMAIN} values")
+
+
+def extend_table(lattice: Lattice, low: bytes, high: bytes) -> bytes:
+    """One pass of value_table: given the tables A = `low` and B = `high`
+    of equal length, the table of A or (x and B) with x as a new slowest
+    digit, that is the blocks A or (v and B) for each element v in index
+    order. The block for v = bottom is A itself.
+
+    For |L| = k <= 16 a block is broadword: A and B, read as big-endian
+    integers, pack into one byte string A*k + B whose bytes are the pairs
+    a*k + b (no byte carries, since a*k + b < k*k <= 256), and the block
+    is that string run through one `bytes.translate` table of the
+    lattice. For k > 16 each block is built entry by entry from the meet
+    and join tables.
+    """
+    k = lattice.size
+    bottom = lattice.bottom_index
+    half = len(low)
+    if k <= 16:
+        packed = (int.from_bytes(low, "big") * k
+                  + int.from_bytes(high, "big")).to_bytes(half, "big")
+        return b"".join([low if v == bottom else packed.translate(row)
+                         for v, row in enumerate(lattice._pair_rows())])
+    out = bytearray(k * half)
+    join_t = lattice._join
+    for v, mt in enumerate(lattice._meet):
+        if v == bottom:
+            out[v * half:(v + 1) * half] = low
+        else:
+            out[v * half:(v + 1) * half] = [join_t[a][mt[b]] for a, b in zip(low, high)]
+    return bytes(out)
+
+
 def value_table(f: PolyFn) -> FiniteFn:
     """Dense table of f over all of L^n, as a FiniteFn.
 
-    One pass per variable, slowest coefficient bit first. A pass splits
-    the table into halves A and B (that bit clear and set), so that
-    f = A or (x and B) on that variable x, and writes A or (v and B) for
-    each element v as the new fastest digit; the row for v = bottom is A
-    itself. After n passes position 1 is the fastest digit again, the
-    little-endian point order. Each pass moves one variable from the
-    coefficient side to the point side; since meet distributes over
-    join, the variables do not interact and the pass order does not
-    change the result. Agrees with eval_dnf at every point.
+    One extend_table pass per variable, fastest coefficient bit first. A
+    pass splits the table into the entries with that bit clear and set,
+    T[0::2] and T[1::2], so that f = A or (x and B) on that variable x,
+    and adds x as the slowest digit. After n passes position n is the
+    slowest digit and position 1 the fastest, the little-endian point
+    order. Each pass moves one variable from the coefficient side to the
+    point side; since meet distributes over join, the variables do not
+    interact and the pass order does not change the result. Agrees with
+    eval_dnf at every point.
 
-    For |L| = k <= 16 a pass is broadword: A and B, read as big-endian
-    integers, pack into one byte string A*k + B whose bytes are the pairs
-    a*k + b (no byte carries, since a*k + b < k*k <= 256), and each row
-    is that string run through one `bytes.translate` table of the
-    lattice. For k > 16 each row is built entry by entry from the meet
-    and join tables.
+    The last pass reads the tables of the two (n-1)-ary coefficient
+    halves, f.table[:2**(n-1)] and f.table[2**(n-1):], so a caller that
+    holds those tables needs only that pass.
 
     Raises EnumerationBudgetError, before allocating, when |L|^n exceeds
     finfun.DEFAULT_BUDGET entries, and ValueError when |L| exceeds
     finfun.MAX_CODOMAIN, the most values a table holds.
     """
     lat = f.lattice
-    k = lat.size
-    if k ** f.arity > DEFAULT_BUDGET:
-        raise EnumerationBudgetError(
-            f"a value table of {k}^{f.arity} entries exceeds the budget "
-            f"of {DEFAULT_BUDGET}")
-    if k > MAX_CODOMAIN:
-        raise ValueError(f"a value table over {k} elements exceeds the bound of "
-                         f"{MAX_CODOMAIN} values")
-    bottom = lat.bottom_index
+    check_table_budget(lat, f.arity)
     table = bytes(f.table)
     for _ in range(f.arity):
-        half = len(table) // 2
-        low, high = table[:half], table[half:]
-        out = bytearray(k * half)
-        out[bottom::k] = low
-        if k <= 16:
-            packed = (int.from_bytes(low, "big") * k
-                      + int.from_bytes(high, "big")).to_bytes(half, "big")
-            for v, row in enumerate(lat._pair_rows()):
-                if v != bottom:
-                    out[v::k] = packed.translate(row)
-        else:
-            join_t = lat._join
-            for v, mt in enumerate(lat._meet):
-                if v != bottom:
-                    out[v::k] = [join_t[a][mt[b]] for a, b in zip(low, high)]
-        table = out
-    return FiniteFn(sizes=(k,) * f.arity, codomain=k, table=bytes(table))
+        table = extend_table(lat, table[0::2], table[1::2])
+    return FiniteFn(sizes=(lat.size,) * f.arity, codomain=lat.size, table=table)
 
 
 def essential_variables(f: PolyFn | FiniteFn) -> frozenset[int]:

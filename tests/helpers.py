@@ -147,3 +147,27 @@ def gap_by_points(sizes: tuple[int, ...], table) -> tuple[set[int], int | None]:
     essl = max(len(essential_by_points(sizes, identify_by_points(sizes, table, i, j)))
                for i in ess for j in ess if i != j and sizes[i - 1] == sizes[j - 1])
     return ess, len(ess) - essl
+
+
+def monotone_maps_recursive(n: int, lattice: Lattice):
+    """Every monotone map {0,1}^n -> L as a coefficient tuple, by the
+    recursive backtracking enumerate_monotone_maps replaced: masks in
+    numeric order, candidates by increasing index above the join of the
+    values on the immediate sub-subsets."""
+    size = 1 << n
+    coeffs = [0] * size
+
+    def rec(mask: int):
+        if mask == size:
+            yield tuple(coeffs)
+            return
+        floor = lattice.bottom_index
+        for k in range(n):
+            if mask >> k & 1:
+                floor = lattice._join[floor][coeffs[mask ^ (1 << k)]]
+        for v in range(lattice.size):
+            if lattice._up[floor] >> v & 1:
+                coeffs[mask] = v
+                yield from rec(mask + 1)
+
+    return rec(0)

@@ -14,9 +14,9 @@ import random
 import time
 from functools import lru_cache
 
-from latgap import (builtin_lattice, canonicalize, chain, enumerate_monotone_maps,
-                    eval_dnf, eval_term, gap_bruteforce, product,
-                    salomaa_function)
+from latgap import (PolyFn, builtin_lattice, canonicalize, chain,
+                    enumerate_monotone_maps, eval_dnf, eval_term, gap_bruteforce,
+                    product, salomaa_function, value_table)
 from latgap.sweep import sweep_boolean, sweep_gap_theorem, sweep_pseudo_boolean
 from helpers import random_term
 
@@ -241,3 +241,68 @@ def test_criterion_8_monotone_enumerator_counts():
     assert sum(1 for _ in enumerate_monotone_maps(3, c2)) == 20
     print("PASS criterion 8: monotone map counts 6 (n=2) and 20 (n=3) "
           "over the 2-chain")
+
+
+def _sweep_tables(monkeypatch, name: str, arity: int):
+    """The report and the value tables the oracle read, one per map."""
+    import latgap.sweep as sweep
+    tables = []
+    monkeypatch.setattr(sweep, "gap_bruteforce",
+                        lambda f: tables.append(f) or gap_bruteforce(f))
+    report = sweep_gap_theorem(name, builtin_lattice(name), arity)
+    monkeypatch.undo()
+    return report, tables
+
+
+def test_gap_theorem_sweep_tables_match_value_table(monkeypatch):
+    # Each map's table is one pass over its memoised half tables; it
+    # must be value_table's, map for map.
+    for name, arity in (("2x2", 3), ("chain3", 4)):
+        lat = builtin_lattice(name)
+        report, tables = _sweep_tables(monkeypatch, name, arity)
+        maps = list(enumerate_monotone_maps(arity, lat))
+        assert report.ok and len(tables) == len(maps) == report.scanned
+        for coeffs, table in zip(maps, tables):
+            assert table == value_table(PolyFn(lat, arity, coeffs)), (name, coeffs)
+
+
+def test_gap_theorem_sweep_halves_are_bounded(monkeypatch):
+    # With room for a few halves only, the dict empties itself over and
+    # over, and the tables and counts stay the same.
+    import latgap.sweep as sweep
+    full, tables = _sweep_tables(monkeypatch, "chain3", 4)
+    built = []
+    monkeypatch.setattr(sweep, "DEFAULT_BUDGET", 3 * (27 + 8 * 8))
+    monkeypatch.setattr(sweep, "value_table", lambda f: built.append(f) or value_table(f))
+    bounded_tables = []
+    monkeypatch.setattr(sweep, "gap_bruteforce",
+                        lambda f: bounded_tables.append(f) or gap_bruteforce(f))
+    bounded = sweep_gap_theorem("chain3", builtin_lattice("chain3"), 4)
+    assert bounded.to_json() == full.to_json()
+    assert bounded_tables == tables
+    # 168 distinct halves, many built more than once.
+    assert len({f.table for f in built}) == 168 < len(built)
+
+
+def test_gap_theorem_sweep_keeps_no_state_between_runs(monkeypatch):
+    # Two sweeps in one process do the same work: the memoised halves
+    # die with each sweep.
+    import latgap.finfun as finfun
+    import latgap.sweep as sweep
+    runs = []
+    for _ in range(2):
+        calls = {"value_table": 0, "ess_bruteforce": 0}
+        for module, name, real in ((sweep, "value_table", value_table),
+                                   (sweep, "ess_bruteforce", finfun.ess_bruteforce),
+                                   (finfun, "ess_bruteforce", finfun.ess_bruteforce)):
+            def counted(f, _name=name, _real=real, _calls=calls):
+                _calls[_name] += 1
+                return _real(f)
+            monkeypatch.setattr(module, name, counted)
+        report = sweep_gap_theorem("2x2", builtin_lattice("2x2"), 3)
+        monkeypatch.undo()
+        runs.append((report.to_json(), calls))
+    assert runs[0] == runs[1]
+    # One value_table per distinct half: the 36 monotone maps of arity 2.
+    assert runs[0][1]["value_table"] == 36
+    assert runs[0][1]["ess_bruteforce"] > 400

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -510,3 +511,28 @@ def test_module_entry_point_error_status():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
+
+
+def test_gap_theorem_text_lines(capsys):
+    # The text form shows every count line, no `ok:` or `counterexample:`
+    # line, and ends in the result.
+    rc, out, err = run(capsys, ["verify", "gap-theorem", "--lattice", "2x2", "--arity", "3"])
+    assert (rc, err) == (0, "")
+    assert out.splitlines() == [
+        "sweep: gap-theorem", "lattice: 2x2", "size: 4", "arity: 3",
+        "monotone_maps: 400", "analyzed: 381", "skipped: 19",
+        "gap_counts: {'1': 376, '2': 5}", "disagreements: 0", "result: ok"]
+
+
+def test_sweep_budget_errors_are_symbolic(capsys):
+    # The count is refused without building it, in one line naming it
+    # as a power, never as a digit string or an interpreter limit.
+    cases = {("boolean", "--arity", "14"): "2**(2**14)",
+             ("boolean", "--arity", "40"): "2**(2**40)",
+             ("pseudo-boolean", "--arity", "9", "--codomain", "3"): "3**(2**9)"}
+    for args, count in cases.items():
+        start = time.perf_counter()
+        rc, out, err = run(capsys, ["verify", *args])
+        assert time.perf_counter() - start < 1, args
+        assert (rc, out) == (1, "")
+        assert err == f"error: {count} functions exceed the budget of 10000000\n"

@@ -4,18 +4,20 @@ import array
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
 
 import latgap.finfun
-from latgap import (EnumerationBudgetError, FiniteFn, boolean_gap_codes, chain,
-                    enumerate_all_functions, enumerate_monotone_maps,
+from latgap import (EnumerationBudgetError, FiniteFn, boolean_gap_codes,
+                    builtin_lattice, chain, enumerate_all_functions, enumerate_monotone_maps,
                     ess_bruteforce, format_finite_fn, gap_bruteforce,
                     identify_table, parse_finite_fn, point_at, reduce_table,
                     salomaa_function)
 from helpers import (essential_by_points, gap_by_points, identify_by_points,
-                     monotone_tables_by_filter, reduce_by_points)
+                     monotone_maps_recursive, monotone_tables_by_filter,
+                     reduce_by_points)
 
 XOR = FiniteFn((2, 2), 2, (0, 1, 1, 0))
 AND = FiniteFn((2, 2), 2, (0, 0, 0, 1))
@@ -320,3 +322,67 @@ def test_constructor_validation():
     # read as ints, not as the raw memory of a buffer
     assert FiniteFn((2,), 3, array.array("i", (1, 2))).table == bytes((1, 2))
 
+
+
+def test_monotone_maps_match_the_recursive_enumerator():
+    # The same maps in the same order, wherever there are fewer than
+    # 10^4 of them.
+    compared = 0
+    for spec in ("chain2", "chain3", "chain4", "2x2", "2x3", "cube3"):
+        lat = builtin_lattice(spec)
+        for n in range(5):
+            expected = list(itertools.islice(monotone_maps_recursive(n, lat), 10_001))
+            if len(expected) > 10_000:
+                continue
+            assert list(enumerate_monotone_maps(n, lat)) == expected, (spec, n)
+            compared += 1
+    assert compared == 26
+
+
+def test_minors_match_point_reference_on_both_constructions(monkeypatch):
+    # identify_table builds a minor word-level when (|A| - 1) * entries
+    # is at most WORD_MINOR_BYTES and from slices beyond it. Every
+    # shape is checked both ways, in both orders of (i, j), and the
+    # shapes fall on both sides of the bound unforced.
+    rng = random.Random(1324)
+    shapes = [(2,) * 5, (3,) * 4, (4,) * 4, (8,) * 3, (16,) * 2, (16,) * 3,
+              (17,) * 2, (17,) * 3, (3, 2, 3, 4), (2, 5, 5)]
+    diagonal = latgap.finfun._diagonal
+    seen = set()
+    for sizes in shapes:
+        # Values 0 and 255 included, so a mask that leaks a byte shows.
+        table = bytes([0, 255] + [rng.randrange(256) for _ in range(math.prod(sizes) - 2)])
+        f = FiniteFn(sizes, 256, table)
+        for i, j in itertools.permutations(range(1, len(sizes) + 1), 2):
+            if sizes[i - 1] != sizes[j - 1]:
+                continue
+            word = (sizes[i - 1] - 1) * len(table) <= latgap.finfun.WORD_MINOR_BYTES
+            seen.add((i < j, sizes[i - 1], word))
+            expected = bytes(identify_by_points(sizes, table, i, j))
+            # Only the word-level construction reads the diagonal mask.
+            masks = []
+            monkeypatch.setattr(latgap.finfun, "_diagonal",
+                                lambda *key: masks.append(key) or diagonal(*key))
+            assert identify_table(f, i, j).table == expected, (sizes, i, j)
+            assert bool(masks) == word, (sizes, i, j)
+            monkeypatch.undo()
+            for bound in (0, 1 << 30):
+                monkeypatch.setattr(latgap.finfun, "WORD_MINOR_BYTES", bound)
+                minor = identify_table(f, i, j)
+                assert (minor.sizes, minor.codomain) == (sizes, 256)
+                assert minor.table == expected, (sizes, i, j, bound)
+            monkeypatch.undo()
+    assert {a for _, a, _ in seen} == {2, 3, 4, 5, 8, 16, 17}
+    assert {before for before, _, _ in seen} == {True, False}
+    assert {word for _, _, word in seen} == {True, False}
+
+
+def test_enumeration_budget_is_decided_symbolically():
+    # A huge count is refused without being built or printed in full.
+    for n, a, b in ((14, 2, 2), (40, 2, 2), (9, 2, 3), (10 ** 6, 3, 2)):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetError) as info:
+            enumerate_all_functions(n, a, b)
+        assert time.perf_counter() - start < 1
+        assert str(info.value) == (f"{b}**({a}**{n}) functions exceed the budget "
+                                   f"of {latgap.finfun.DEFAULT_BUDGET}")

@@ -279,3 +279,19 @@ def test_eval_dnf_validation(c2, c3):
         eval_dnf(f, (c2.top, c2.bottom))
     with pytest.raises(ValueError):
         eval_dnf(f, (c2.top, c2.bottom, c3.top))
+
+
+def test_value_table_matches_eval_above_sixteen_elements():
+    # Above 16 elements a pass builds each block entry by entry; arity 3
+    # runs that pass on tables already holding point digits.
+    rng = random.Random(1612)
+    for spec, n in (("chain20", 3), ("5x8", 2), ("cube5", 2), ("chain17", 3)):
+        lat = builtin_lattice(spec)
+        assert lat.size > 16
+        for _ in range(2):
+            f = PolyFn(lat, n, random_monotone_table(rng, n, lat))
+            vt = value_table(f)
+            assert (vt.sizes, vt.codomain) == ((lat.size,) * n, lat.size)
+            for idx in range(len(vt.table)):
+                point = tuple(lat.elements[d] for d in point_at(vt.sizes, idx))
+                assert vt.table[idx] == eval_dnf(f, point).index
