@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .finfun import DEFAULT_BUDGET, MAX_CODOMAIN, EnumerationBudgetError, FiniteFn
 from .lattice import Elem, Lattice
@@ -184,10 +184,7 @@ def _eval_indices(f: PolyFn, point: Sequence[int]) -> int:
     return acc
 
 
-def check_table_budget(lattice: Lattice, arity: int) -> None:
-    """Raise EnumerationBudgetError when |L|^arity exceeds
-    finfun.DEFAULT_BUDGET entries, and ValueError when |L| exceeds
-    finfun.MAX_CODOMAIN, the most values a table holds."""
+def _check_table_budget(lattice: Lattice, arity: int) -> None:
     k = lattice.size
     if k ** arity > DEFAULT_BUDGET:
         raise EnumerationBudgetError(
@@ -198,19 +195,11 @@ def check_table_budget(lattice: Lattice, arity: int) -> None:
                          f"{MAX_CODOMAIN} values")
 
 
-def extend_table(lattice: Lattice, low: bytes, high: bytes) -> bytes:
-    """One pass of value_table: given the tables A = `low` and B = `high`
-    of equal length, the table of A or (x and B) with x as a new slowest
-    digit, that is the blocks A or (v and B) for each element v in index
-    order. The block for v = bottom is A itself.
-
-    For |L| = k <= 16 a block is broadword: A and B, read as big-endian
-    integers, pack into one byte string A*k + B whose bytes are the pairs
-    a*k + b (no byte carries, since a*k + b < k*k <= 256), and the block
-    is that string run through one `bytes.translate` table of the
-    lattice. For k > 16 each block is built entry by entry from the meet
-    and join tables.
-    """
+def _extend_table(lattice: Lattice, low: bytes, high: bytes) -> bytes:
+    # One value_table pass: the tables A = low and B = high, of equal
+    # length, become the table of A or (x and B) with x as a new slowest
+    # digit, that is the blocks A or (v and B) for each element v in
+    # index order. The block for v = bottom is A itself.
     k = lattice.size
     bottom = lattice.bottom_index
     half = len(low)
@@ -232,30 +221,75 @@ def extend_table(lattice: Lattice, low: bytes, high: bytes) -> bytes:
 def value_table(f: PolyFn) -> FiniteFn:
     """Dense table of f over all of L^n, as a FiniteFn.
 
-    One extend_table pass per variable, fastest coefficient bit first. A
-    pass splits the table into the entries with that bit clear and set,
-    T[0::2] and T[1::2], so that f = A or (x and B) on that variable x,
-    and adds x as the slowest digit. After n passes position n is the
-    slowest digit and position 1 the fastest, the little-endian point
-    order. Each pass moves one variable from the coefficient side to the
-    point side; since meet distributes over join, the variables do not
-    interact and the pass order does not change the result. Agrees with
-    eval_dnf at every point.
+    One pass per variable, fastest coefficient bit first. A pass splits
+    the table into the entries with that bit clear and set, A = T[0::2]
+    and B = T[1::2], so that f = A or (x and B) on that variable x, and
+    writes the blocks A or (v and B) for each element v contiguously,
+    which adds x as the slowest digit; the block for v = bottom is A
+    itself. After n passes position n is the slowest digit and position
+    1 the fastest, the little-endian point order. Each pass moves one
+    variable from the coefficient side to the point side; since meet
+    distributes over join, the variables do not interact and the pass
+    order does not change the result. Agrees with eval_dnf at every
+    point. The last pass reads exactly the tables of the two (n-1)-ary
+    coefficient halves, which value_tables builds on.
 
-    The last pass reads the tables of the two (n-1)-ary coefficient
-    halves, f.table[:2**(n-1)] and f.table[2**(n-1):], so a caller that
-    holds those tables needs only that pass.
+    For |L| = k <= 16 a block is broadword: A and B, read as big-endian
+    integers, pack into one byte string A*k + B whose bytes are the pairs
+    a*k + b (no byte carries, since a*k + b < k*k <= 256), and the block
+    is that string run through one `bytes.translate` table of the
+    lattice. For k > 16 each block is built entry by entry from the meet
+    and join tables.
 
     Raises EnumerationBudgetError, before allocating, when |L|^n exceeds
     finfun.DEFAULT_BUDGET entries, and ValueError when |L| exceeds
     finfun.MAX_CODOMAIN, the most values a table holds.
     """
     lat = f.lattice
-    check_table_budget(lat, f.arity)
+    _check_table_budget(lat, f.arity)
     table = bytes(f.table)
     for _ in range(f.arity):
-        table = extend_table(lat, table[0::2], table[1::2])
+        table = _extend_table(lat, table[0::2], table[1::2])
     return FiniteFn(sizes=(lat.size,) * f.arity, codomain=lat.size, table=table)
+
+
+def value_tables(lattice: Lattice, arity: int,
+                 maps: Iterable[tuple[int, ...]]) -> Iterator[tuple[PolyFn, FiniteFn]]:
+    """Each coefficient table of `maps` as a PolyFn over `lattice`,
+    with its value_table, lazily.
+
+    A table is value_table's last pass over the tables of its two
+    (n-1)-ary coefficient halves. Those come from value_table, once per
+    distinct half, and are kept in a dict that lives as long as the
+    returned iterator; it is emptied when full, at about DEFAULT_BUDGET
+    bytes of tables and key pointers. So a sweep over many maps builds
+    one pass per map, and no state outlives it.
+
+    Raises value_table's errors at once, before the first map.
+    """
+    _check_table_budget(lattice, arity)
+    sizes = (lattice.size,) * arity
+    half = (1 << arity) >> 1
+    halves: dict[tuple[int, ...], bytes] = {}
+    room = DEFAULT_BUDGET // (lattice.size ** max(arity - 1, 0) + 8 * half)
+
+    def half_table(coeffs: tuple[int, ...]) -> bytes:
+        table = halves.get(coeffs)
+        if table is None:
+            if len(halves) >= room:
+                halves.clear()
+            table = halves[coeffs] = value_table(PolyFn(lattice, arity - 1, coeffs)).table
+        return table
+
+    def tables() -> Iterator[tuple[PolyFn, FiniteFn]]:
+        for coeffs in maps:
+            f = PolyFn(lattice, arity, coeffs)
+            table = (_extend_table(lattice, half_table(coeffs[:half]),
+                                   half_table(coeffs[half:]))
+                     if arity else bytes(coeffs))
+            yield f, FiniteFn(sizes, lattice.size, table)
+
+    return tables()
 
 
 def essential_variables(f: PolyFn | FiniteFn) -> frozenset[int]:

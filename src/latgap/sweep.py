@@ -14,10 +14,10 @@ classifier on every function. A disagreement is replayed through
 pair; only when that replay sides with the classifier does it also
 name the batch answer (`batch_gap`, `batch_essential`).
 
-The gap-theorem sweep hands the oracle each map's full value table,
-built by one `extend_table` pass over the tables of the map's two
-coefficient halves. It builds each distinct half once, in a bounded
-dict that lives for one sweep call, so no state outlives a sweep.
+The gap-theorem sweep hands the oracle each map's full value table from
+`polyfn.value_tables`, which builds each distinct coefficient half once,
+in a bounded dict that lives for one sweep, and each map's table in one
+pass over its two halves. So no state outlives a sweep.
 """
 
 from __future__ import annotations
@@ -29,12 +29,10 @@ from typing import Callable, Iterable
 
 from .classify import (classify_boolean_gap, classify_polynomial_gap,
                        classify_pseudo_boolean_gap)
-from .finfun import (DEFAULT_BUDGET, FiniteFn, GapReport, boolean_gap_codes,
-                     enumerate_all_functions, enumerate_monotone_maps, ess_bruteforce,
-                     gap_bruteforce)
+from .finfun import (FiniteFn, GapReport, boolean_gap_codes, enumerate_all_functions,
+                     enumerate_monotone_maps, ess_bruteforce, gap_bruteforce)
 from .lattice import Lattice
-from .polyfn import (PolyFn, check_table_budget, extend_table, restrict_to_01,
-                     value_table)
+from .polyfn import PolyFn, restrict_to_01, value_tables
 
 Outcome = tuple[int | None, dict | None]
 
@@ -155,37 +153,11 @@ def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
     """classify_polynomial_gap against gap_bruteforce on every monotone
     coefficient table over `lattice` (shown as `name`). On every table,
     skipped or not, the coefficient, full-domain and 0/1-point
-    essentiality criteria must also agree.
-
-    The oracle reads each map's full value table, built by the last
-    value_table pass (extend_table) over the tables of the map's two
-    (n-1)-ary coefficient halves. Those come from value_table, once per
-    distinct half, and are kept in a dict that lives for this call only.
-    It is emptied when full, at about DEFAULT_BUDGET bytes of tables and
-    key pointers, so every sweep does the same work."""
-    maps = enumerate_monotone_maps(arity, lattice)
-    check_table_budget(lattice, arity)
-    sizes = (lattice.size,) * arity
-    half = (1 << arity) >> 1
-    halves: dict[tuple[int, ...], bytes] = {}
-    room = DEFAULT_BUDGET // (lattice.size ** max(arity - 1, 0) + 8 * half)
-
-    def half_table(coeffs: tuple[int, ...]) -> bytes:
-        table = halves.get(coeffs)
-        if table is None:
-            if len(halves) >= room:
-                halves.clear()
-            table = halves[coeffs] = value_table(PolyFn(lattice, arity - 1, coeffs)).table
-        return table
-
-    def check(coeffs: tuple[int, ...]) -> Outcome:
-        f = PolyFn(lattice, arity, coeffs)
+    essentiality criteria must also agree. The value tables come from
+    polyfn.value_tables, one pass per map over memoised half tables."""
+    def check(item: tuple[PolyFn, FiniteFn]) -> Outcome:
+        f, table = item
         verdict = classify_polynomial_gap(f)
-        if arity:
-            table = FiniteFn(sizes, lattice.size, extend_table(
-                lattice, half_table(coeffs[:half]), half_table(coeffs[half:])))
-        else:
-            table = value_table(f)
         report = gap_bruteforce(table)
         ess01 = ess_bruteforce(restrict_to_01(f))
         if _agree(verdict, report) and ess01 == report.essential:
@@ -195,4 +167,6 @@ def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
                             "restricted_essential": sorted(ess01)}
 
     return _sweep("gap-theorem", {"lattice": name, "size": lattice.size, "arity": arity},
-                  "monotone_maps", maps, check)
+                  "monotone_maps",
+                  value_tables(lattice, arity, enumerate_monotone_maps(arity, lattice)),
+                  check)

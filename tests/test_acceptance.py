@@ -14,7 +14,9 @@ import random
 import time
 from functools import lru_cache
 
-from latgap import (PolyFn, builtin_lattice, canonicalize, chain,
+import pytest
+
+from latgap import (EnumerationBudgetError, PolyFn, builtin_lattice, canonicalize, chain,
                     enumerate_monotone_maps, eval_dnf, eval_term, gap_bruteforce,
                     product, salomaa_function, value_table)
 from latgap.sweep import sweep_boolean, sweep_gap_theorem, sweep_pseudo_boolean
@@ -257,7 +259,7 @@ def _sweep_tables(monkeypatch, name: str, arity: int):
 def test_gap_theorem_sweep_tables_match_value_table(monkeypatch):
     # Each map's table is one pass over its memoised half tables; it
     # must be value_table's, map for map.
-    for name, arity in (("2x2", 3), ("chain3", 4)):
+    for name, arity in (("2x2", 0), ("2x2", 1), ("2x2", 3), ("chain3", 4)):
         lat = builtin_lattice(name)
         report, tables = _sweep_tables(monkeypatch, name, arity)
         maps = list(enumerate_monotone_maps(arity, lat))
@@ -269,11 +271,12 @@ def test_gap_theorem_sweep_tables_match_value_table(monkeypatch):
 def test_gap_theorem_sweep_halves_are_bounded(monkeypatch):
     # With room for a few halves only, the dict empties itself over and
     # over, and the tables and counts stay the same.
+    import latgap.polyfn as polyfn
     import latgap.sweep as sweep
     full, tables = _sweep_tables(monkeypatch, "chain3", 4)
     built = []
-    monkeypatch.setattr(sweep, "DEFAULT_BUDGET", 3 * (27 + 8 * 8))
-    monkeypatch.setattr(sweep, "value_table", lambda f: built.append(f) or value_table(f))
+    monkeypatch.setattr(polyfn, "DEFAULT_BUDGET", 3 * (27 + 8 * 8))
+    monkeypatch.setattr(polyfn, "value_table", lambda f: built.append(f) or value_table(f))
     bounded_tables = []
     monkeypatch.setattr(sweep, "gap_bruteforce",
                         lambda f: bounded_tables.append(f) or gap_bruteforce(f))
@@ -284,15 +287,34 @@ def test_gap_theorem_sweep_halves_are_bounded(monkeypatch):
     assert len({f.table for f in built}) == 168 < len(built)
 
 
+def test_gap_theorem_sweep_checks_the_full_table_budget(monkeypatch):
+    # Only the halves go through value_table, so the budget of the full
+    # table is checked on its own, before the first map: a 2x2/3 map has
+    # 16-entry halves and a 64-entry table.
+    import latgap.polyfn as polyfn
+    monkeypatch.setattr(polyfn, "DEFAULT_BUDGET", 63)
+
+    def maps():
+        raise AssertionError("a map was drawn")
+        yield
+
+    for run in (lambda: polyfn.value_tables(builtin_lattice("2x2"), 3, maps()),
+                lambda: sweep_gap_theorem("2x2", builtin_lattice("2x2"), 3)):
+        with pytest.raises(EnumerationBudgetError,
+                           match=r"^a value table of 4\^3 entries exceeds the budget of 63$"):
+            run()
+
+
 def test_gap_theorem_sweep_keeps_no_state_between_runs(monkeypatch):
     # Two sweeps in one process do the same work: the memoised halves
     # die with each sweep.
     import latgap.finfun as finfun
+    import latgap.polyfn as polyfn
     import latgap.sweep as sweep
     runs = []
     for _ in range(2):
         calls = {"value_table": 0, "ess_bruteforce": 0}
-        for module, name, real in ((sweep, "value_table", value_table),
+        for module, name, real in ((polyfn, "value_table", value_table),
                                    (sweep, "ess_bruteforce", finfun.ess_bruteforce),
                                    (finfun, "ess_bruteforce", finfun.ess_bruteforce)):
             def counted(f, _name=name, _real=real, _calls=calls):

@@ -4,7 +4,6 @@ import array
 import itertools
 import math
 import random
-import time
 import tracemalloc
 
 import pytest
@@ -379,10 +378,15 @@ def test_minors_match_point_reference_on_both_constructions(monkeypatch):
 
 def test_enumeration_budget_is_decided_symbolically():
     # A huge count is refused without being built or printed in full.
+    # 3**(10**6) alone would take about 200 KiB.
     for n, a, b in ((14, 2, 2), (40, 2, 2), (9, 2, 3), (10 ** 6, 3, 2)):
-        start = time.perf_counter()
-        with pytest.raises(EnumerationBudgetError) as info:
-            enumerate_all_functions(n, a, b)
-        assert time.perf_counter() - start < 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationBudgetError) as info:
+                enumerate_all_functions(n, a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (n, a, b, peak)
         assert str(info.value) == (f"{b}**({a}**{n}) functions exceed the budget "
                                    f"of {latgap.finfun.DEFAULT_BUDGET}")
