@@ -18,21 +18,27 @@ Essentiality reads the whole table as one big-endian integer T, entry 0
 in the most significant byte. Shifting T left by 8*stride_k bits lines
 every entry up with the entry one digit higher at position k, so k is
 inessential exactly when ((T << 8*stride_k) ^ T) vanishes on the
-entries whose digit at k is not the last.
+entries whose digit at k is not the last. Those shifts and masks, one
+pair per position, form the plan of a shape, kept in a bounded cache
+keyed on the alphabet sizes, so a scan looks up one plan.
 
-Identification minors are built on T as well: one mask keeps the
-diagonal (digit i equal to digit j), and 2(|A| - 1) shifts by
-8*stride_i, each masked to the entries whose digit at i is not the
-first (not the last), copy every kept entry up (down) position i. That
-shifts (|A| - 1) times the table's length each way, so it serves
-minors where that product is at most WORD_MINOR_BYTES, and larger
-minors are built from slices. Timed over all (i, j) pairs on tables of
-125 to 32,768 entries, the shifts took 0.2-0.5 times the slicing time
-below that bound. Above it they still won up to |A| = 10 and lost from
-|A| = 12 on, by up to 5 times, so the bound errs on the side of
-slicing. The byte masks are the only memoised data, each in a bounded
-cache keyed on the alphabet sizes and positions, and each at most
-WORD_MINOR_BYTES long for a minor.
+Identification minors are integers too. `gap_bruteforce` reads the
+table as T once, then builds each minor as an integer and counts its
+essential positions on it, with no FiniteFn or byte string per minor;
+`identify_table` wraps the same builder in a validated FiniteFn. One
+mask keeps the diagonal (digit i equal to digit j), and 2(|A| - 1)
+shifts by 8*stride_i, each masked to the entries whose digit at i is
+not the first (not the last), copy every kept entry up (down) position
+i. That shifts (|A| - 1) times the table's length each way, so it
+serves minors where that product is at most WORD_MINOR_BYTES, and
+larger minors are built from slices of the byte table. Timed over all
+(i, j) pairs on tables of 125 to 32,768 entries, the shifts took
+0.2-0.5 times the slicing time below that bound. Above it they still
+won up to |A| = 10 and lost from |A| = 12 on, by up to 5 times, so the
+bound errs on the side of slicing. The diagonal and not-first-digit
+masks are fetched, each from its own bounded cache keyed on the
+alphabet sizes and positions, only for minors built word-level, so
+they are at most WORD_MINOR_BYTES long.
 
 `boolean_gap_codes` answers the same questions for every Boolean
 function of one arity at once, bit-sliced (E. Biham, "A fast new DES
@@ -69,8 +75,8 @@ MAX_CODOMAIN = 256
 # from a table leaves the values outside it.
 _BYTES = bytes(range(MAX_CODOMAIN))
 
-# identify_table builds a minor word-level when (|A| - 1) * entries is
-# at most this, and from slices beyond it.
+# A minor is built word-level when (|A| - 1) * entries is at most this,
+# and from slices beyond it.
 WORD_MINOR_BYTES = 1 << 14
 
 
@@ -171,7 +177,6 @@ def _interleave(slabs: Sequence[bytes], stride: int) -> bytes:
                      for base in range(0, len(slabs[0]), stride) for slab in slabs])
 
 
-@functools.lru_cache(maxsize=128)
 def _not_last_digit(sizes: tuple[int, ...], pos: int) -> int:
     # 0xff on every entry whose digit at `pos` is not the last, as a
     # big-endian integer the length of the table.
@@ -204,19 +209,54 @@ def _diagonal(sizes: tuple[int, ...], i: int, j: int) -> int:
     return int.from_bytes(block * (math.prod(sizes) // (sj * size)), "big")
 
 
+@functools.lru_cache(maxsize=32)
+def _plan(sizes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    # Per position k: the shift 8*stride_k and _not_last_digit's mask.
+    plan = []
+    stride = 1
+    for pos, size in enumerate(sizes, 1):
+        plan.append((8 * stride, _not_last_digit(sizes, pos)))
+        stride *= size
+    return tuple(plan)
+
+
+def _essential(t: int, plan: tuple[tuple[int, int], ...]) -> list[int]:
+    # The essential positions of the table read as T, in increasing order.
+    return [pos for pos, (shift, mask) in enumerate(plan, 1) if ((t << shift) ^ t) & mask]
+
+
+def _minor(table: bytes, t: int, sizes: tuple[int, ...], i: int, j: int) -> int:
+    # The table of minor (i, j) as an integer, from the table as bytes
+    # and as the integer T.
+    size = sizes[i - 1]
+    if sizes[j - 1] != size:
+        raise ValueError("positions to identify must share an alphabet size")
+    shift, not_last = _plan(sizes)[i - 1]
+    if (size - 1) * len(table) <= WORD_MINOR_BYTES:
+        # Entry p of the minor is entry p + (p_j - p_i)*si of f, which is
+        # on the diagonal; walk the diagonal to it one digit of i at a time.
+        up = down = t & _diagonal(sizes, min(i, j), max(i, j))
+        minor = up
+        not_first = _not_first_digit(sizes, i)
+        for _ in range(size - 1):
+            up = (up >> shift) & not_first
+            down = (down << shift) & not_last
+            minor |= up | down
+        return minor
+    si = math.prod(sizes[:i - 1])
+    # Stride of position j once position i is sliced away.
+    sj = math.prod(sizes[:j - 1]) // (size if j > i else 1)
+    diagonal = _interleave([_slab(_slab(table, si, size, v), sj, size, v)
+                            for v in range(size)], sj)
+    return int.from_bytes(_interleave([diagonal] * size, si), "big")
+
+
 def ess_bruteforce(f: FiniteFn) -> frozenset[int]:
     """Definitional essentiality: position k is essential when two points
     differing only at k get different values."""
     # Points one digit apart at k sit stride_k entries apart; comparing
     # every such pair covers all pairs that differ only at k.
-    t = int.from_bytes(f.table, "big")
-    ess = []
-    stride = 1
-    for pos, size in enumerate(f.sizes, 1):
-        if ((t << 8 * stride) ^ t) & _not_last_digit(f.sizes, pos):
-            ess.append(pos)
-        stride *= size
-    return frozenset(ess)
+    return frozenset(_essential(int.from_bytes(f.table, "big"), _plan(f.sizes)))
 
 
 def identify_table(f: FiniteFn, i: int, j: int) -> FiniteFn:
@@ -226,28 +266,8 @@ def identify_table(f: FiniteFn, i: int, j: int) -> FiniteFn:
         raise ValueError(f"positions must be in 1..{n}, got ({i}, {j})")
     if i == j:
         raise ValueError("identify needs two distinct positions")
-    if f.sizes[i - 1] != f.sizes[j - 1]:
-        raise ValueError("positions to identify must share an alphabet size")
-    size = f.sizes[i - 1]
-    si = math.prod(f.sizes[:i - 1])
-    if (size - 1) * len(f.table) <= WORD_MINOR_BYTES:
-        # Entry p of the minor is entry p + (p_j - p_i)*si of f, which is
-        # on the diagonal; walk the diagonal to it one digit of i at a time.
-        shift = 8 * si
-        up = down = int.from_bytes(f.table, "big") & _diagonal(f.sizes, min(i, j), max(i, j))
-        minor = up
-        not_first, not_last = _not_first_digit(f.sizes, i), _not_last_digit(f.sizes, i)
-        for _ in range(size - 1):
-            up = (up >> shift) & not_first
-            down = (down << shift) & not_last
-            minor |= up | down
-        return FiniteFn(f.sizes, f.codomain, minor.to_bytes(len(f.table), "big"))
-    # Stride of position j once position i is sliced away.
-    sj = math.prod(f.sizes[:j - 1]) // (size if j > i else 1)
-    diagonal = _interleave([_slab(_slab(f.table, si, size, v), sj, size, v)
-                            for v in range(size)], sj)
-    table = _interleave([diagonal] * size, si)
-    return FiniteFn(f.sizes, f.codomain, table)
+    minor = _minor(f.table, int.from_bytes(f.table, "big"), f.sizes, i, j)
+    return FiniteFn(f.sizes, f.codomain, minor.to_bytes(len(f.table), "big"))
 
 
 @dataclass(frozen=True)
@@ -271,17 +291,20 @@ class GapReport:
 def gap_bruteforce(f: FiniteFn) -> GapReport:
     """Compute the essential positions and the arity gap, the latter by
     exhausting identification minors."""
-    ess = ess_bruteforce(f)
-    if len(ess) < 2:
+    sizes, table = f.sizes, f.table
+    t = int.from_bytes(table, "big")
+    plan = _plan(sizes)
+    positions = _essential(t, plan)
+    ess = frozenset(positions)
+    if len(positions) < 2:
         return GapReport(ess, len(ess), None, None)
-    positions = sorted(ess)
     best = 0
-    limit = len(ess) - 1
+    limit = len(positions) - 1
     for i in positions:
         for j in positions:
             if i == j:
                 continue
-            count = len(ess_bruteforce(identify_table(f, i, j)))
+            count = len(_essential(_minor(table, t, sizes, i, j), plan))
             if count > best:
                 best = count
                 if best == limit:

@@ -18,6 +18,7 @@ Subset masks use bit k-1 for position k; point tables are little-endian
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -55,6 +56,21 @@ def _positions(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _edge_iter(arity: int) -> Iterator[tuple[int, int]]:
+    # The pairs (mask - bit, mask) of the subset order's covers, masks
+    # ascending and bits low first: the order of PolyFn's monotonicity
+    # check, which names the first failing pair.
+    return ((mask ^ 1 << k, mask) for mask in range(1, 1 << arity)
+            for k in range(arity) if mask >> k & 1)
+
+
+@functools.lru_cache(maxsize=9)
+def _edges(arity: int) -> tuple[tuple[int, int], ...]:
+    # _edge_iter kept for arity 0..8 (at most 1,024 pairs); larger
+    # arities are rare and would pin up to n*2^(n-1) pairs.
+    return tuple(_edge_iter(arity))
+
+
 @dataclass(frozen=True)
 class PolyFn:
     """Canonical form of a polynomial function: lattice, arity, coefficients.
@@ -78,17 +94,14 @@ class PolyFn:
         for v in self.table:
             if not isinstance(v, int) or not 0 <= v < size:
                 raise ValueError(f"coefficient index {v!r} out of range")
+        table = self.table
         up = self.lattice._up
-        for mask in range(1, len(self.table)):
-            v = self.table[mask]
-            mm = mask
-            while mm:
-                bit = mm & -mm
-                mm ^= bit
-                u = self.table[mask ^ bit]
-                if not (up[u] >> v) & 1:
-                    names = self.lattice.names
-                    raise MonotonicityError(mask ^ bit, mask, names[u], names[v])
+        edges = _edges(self.arity) if self.arity <= 8 else _edge_iter(self.arity)
+        for sub, mask in edges:
+            u, v = table[sub], table[mask]
+            if not (up[u] >> v) & 1:
+                names = self.lattice.names
+                raise MonotonicityError(sub, mask, names[u], names[v])
 
     def coefficient(self, mask: int) -> Elem:
         """Coefficient a_I as an element, for the subset mask I."""

@@ -113,10 +113,13 @@ def test_pseudo_boolean_sweep_scans_each_function_once(monkeypatch):
     # The classifier's reduction reuses the essential positions the
     # oracle found: one scan per function (6561) plus one per minor the
     # oracle builds (8244), and no rescan of the 6540 analysed ones.
+    # Every essentiality scan, of a table or of a minor, runs through
+    # finfun._essential.
     import latgap.finfun as finfun
     calls = []
-    scan = finfun.ess_bruteforce
-    monkeypatch.setattr(finfun, "ess_bruteforce", lambda f: calls.append(f) or scan(f))
+    scan = finfun._essential
+    monkeypatch.setattr(finfun, "_essential",
+                        lambda t, plan: calls.append(t) or scan(t, plan))
     report = sweep_pseudo_boolean(3, 3)
     assert report.ok and report.analyzed == 6540
     assert len(calls) == 14805
@@ -310,16 +313,14 @@ def test_gap_theorem_sweep_keeps_no_state_between_runs(monkeypatch):
     # die with each sweep.
     import latgap.finfun as finfun
     import latgap.polyfn as polyfn
-    import latgap.sweep as sweep
     runs = []
     for _ in range(2):
-        calls = {"value_table": 0, "ess_bruteforce": 0}
+        calls = {"value_table": 0, "_essential": 0}
         for module, name, real in ((polyfn, "value_table", value_table),
-                                   (sweep, "ess_bruteforce", finfun.ess_bruteforce),
-                                   (finfun, "ess_bruteforce", finfun.ess_bruteforce)):
-            def counted(f, _name=name, _real=real, _calls=calls):
+                                   (finfun, "_essential", finfun._essential)):
+            def counted(*args, _name=name, _real=real, _calls=calls):
                 _calls[_name] += 1
-                return _real(f)
+                return _real(*args)
             monkeypatch.setattr(module, name, counted)
         report = sweep_gap_theorem("2x2", builtin_lattice("2x2"), 3)
         monkeypatch.undo()
@@ -327,4 +328,5 @@ def test_gap_theorem_sweep_keeps_no_state_between_runs(monkeypatch):
     assert runs[0] == runs[1]
     # One value_table per distinct half: the 36 monotone maps of arity 2.
     assert runs[0][1]["value_table"] == 36
-    assert runs[0][1]["ess_bruteforce"] > 400
+    # One scan per table, per 0/1 restriction and per minor.
+    assert runs[0][1]["_essential"] == 1330

@@ -58,6 +58,20 @@ def test_identify_errors():
         identify_table(mixed, 1, 2)
 
 
+def test_gap_needs_one_alphabet_for_essential_positions():
+    # (x1 + x2) mod 3 over alphabets 2 and 3: both positions essential.
+    mixed = FiniteFn((2, 3), 3, (0, 1, 1, 2, 2, 0))
+    # x1 xor x2 xor (x3 > 0): positions 1 and 2 share an alphabet, and
+    # their minor drops both of them, so the search goes on to (1, 3).
+    later = FiniteFn((2, 2, 3), 2, [(x1 ^ x2 ^ (x3 > 0)) for x3 in range(3)
+                                    for x2 in range(2) for x1 in range(2)])
+    for f in (mixed, later):
+        assert ess_bruteforce(f) == set(range(1, f.arity + 1))
+        with pytest.raises(ValueError, match="^positions to identify must share an "
+                                             "alphabet size$"):
+            gap_bruteforce(f)
+
+
 def test_gap_examples():
     assert gap_bruteforce(XOR).gap == 2
     assert gap_bruteforce(AND).gap == 1
@@ -134,20 +148,31 @@ def check_against_points(f: FiniteFn, minors: bool = True) -> None:
 def test_stride_arithmetic_matches_point_reference():
     # Random tables over mixed alphabets that ignore some planted
     # positions, checked against references that walk point tuples.
+    # (12, 12, 12) is the one shape whose minors are built from slices
+    # ((|A| - 1) * entries > WORD_MINOR_BYTES); its point references
+    # take a few tenths of a second per table, so it gets only a few.
     rng = random.Random(2009)
-    shapes = [(2, 3, 3), (3, 2, 3, 2), (3, 3, 2, 3), (4, 4, 4, 4)]
-    for sizes, codomain, _ in itertools.product(shapes, (3, 256), range(40)):
-        n = len(sizes)
-        used = [k for k in range(n) if rng.random() < 0.6]
-        values = {}
-        table = []
-        for idx in range(math.prod(sizes)):
-            point = point_at(sizes, idx)
-            key = tuple(point[k] for k in used)
-            table.append(values.setdefault(key, rng.randrange(codomain)))
-        f = FiniteFn(sizes, codomain, tuple(table))
-        assert essential_by_points(sizes, f.table) <= {k + 1 for k in used}
-        check_against_points(f)
+    shapes = [((2, 3, 3), 40), ((3, 2, 3, 2), 40), ((3, 3, 2, 3), 40),
+              ((4, 4, 4, 4), 40), ((12, 12, 12), 2)]
+    sliced = 0
+    for (sizes, count), codomain in itertools.product(shapes, (3, 256)):
+        for _ in range(count):
+            n = len(sizes)
+            used = [k for k in range(n) if rng.random() < 0.6]
+            values = {}
+            table = []
+            for idx in range(math.prod(sizes)):
+                point = point_at(sizes, idx)
+                key = tuple(point[k] for k in used)
+                table.append(values.setdefault(key, rng.randrange(codomain)))
+            f = FiniteFn(sizes, codomain, tuple(table))
+            ess = essential_by_points(sizes, f.table)
+            assert ess <= {k + 1 for k in used}
+            check_against_points(f)
+            if sizes[0] == 12 and len(ess) >= 2:
+                sliced += 1
+    # gap_bruteforce met the reference on sliced minors of three tables.
+    assert sliced == 3
 
 
 def test_every_small_boolean_function_matches_point_reference():

@@ -273,6 +273,49 @@ def test_constructor_validation(c2):
         PolyFn(c2, 1, (1, 0))
 
 
+def first_out_of_order_cover(lat, table) -> tuple[int, int] | None:
+    """The first pair (mask - bit, mask) whose coefficients are not in
+    order, masks ascending and bits low first, or None: the witness
+    PolyFn names, found with the lattice order itself."""
+    els = lat.elements
+    for mask in range(1, len(table)):
+        for k in range(len(table).bit_length() - 1):
+            sub = mask ^ (1 << k)
+            if mask >> k & 1 and not lat.leq(els[table[sub]], els[table[mask]]):
+                return sub, mask
+    return None
+
+
+def test_monotonicity_witness_matches_cover_order():
+    # Monotone tables with one or two coefficients redrawn, so that the
+    # first broken cover can sit anywhere; arities above 8 take the
+    # uncached cover list.
+    rng = random.Random(4096)
+    checked = rejected = 0
+    for spec in ("chain3", "2x2", "cube3"):
+        lat = builtin_lattice(spec)
+        for n in range(11):
+            for _ in range(60 if n <= 8 else 4):
+                table = list(random_monotone_table(rng, n, lat))
+                for _ in range(rng.randint(1, 2)):
+                    table[rng.randrange(len(table))] = rng.randrange(lat.size)
+                table = tuple(table)
+                witness = first_out_of_order_cover(lat, table)
+                checked += 1
+                if witness is None:
+                    assert PolyFn(lat, n, table).table == table
+                    continue
+                rejected += 1
+                with pytest.raises(MonotonicityError) as err:
+                    PolyFn(lat, n, table)
+                sub, mask = witness
+                assert (err.value.subset, err.value.superset) == witness
+                assert f"= {lat.names[table[sub]]} is not below" in str(err.value)
+                assert str(err.value).endswith(f"= {lat.names[table[mask]]}")
+    assert checked == 3 * (9 * 60 + 2 * 4)
+    assert rejected > checked // 2
+
+
 def test_eval_dnf_validation(c2, c3):
     f = med(c2)
     with pytest.raises(ValueError, match="arity"):
