@@ -20,7 +20,8 @@ every entry up with the entry one digit higher at position k, so k is
 inessential exactly when ((T << 8*stride_k) ^ T) vanishes on the
 entries whose digit at k is not the last. Those shifts and masks, one
 pair per position, form the plan of a shape, kept in a bounded cache
-keyed on the alphabet sizes, so a scan looks up one plan.
+keyed on the alphabet sizes for tables of at most KEPT_PLAN_ENTRIES
+entries, so a scan looks up one plan.
 
 Identification minors are integers too. `gap_bruteforce` reads the
 table as T once, then builds each minor as an integer and counts its
@@ -78,6 +79,13 @@ _BYTES = bytes(range(MAX_CODOMAIN))
 # A minor is built word-level when (|A| - 1) * entries is at most this,
 # and from slices beyond it.
 WORD_MINOR_BYTES = 1 << 14
+
+# The plan of a shape (its n not-last-digit masks, each as long as the
+# table) is kept when the table has at most this many entries, so it
+# pins at most 15 * 2^15 bytes and the 32 kept plans at most 15 MiB.
+# Larger tables get a fresh plan per scan, which costs about one more
+# pass over the table per position.
+KEPT_PLAN_ENTRIES = 1 << 15
 
 
 def _check_codomain(codomain: int) -> None:
@@ -209,8 +217,7 @@ def _diagonal(sizes: tuple[int, ...], i: int, j: int) -> int:
     return int.from_bytes(block * (math.prod(sizes) // (sj * size)), "big")
 
 
-@functools.lru_cache(maxsize=32)
-def _plan(sizes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+def _build_plan(sizes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     # Per position k: the shift 8*stride_k and _not_last_digit's mask.
     plan = []
     stride = 1
@@ -220,19 +227,32 @@ def _plan(sizes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple(plan)
 
 
+_kept_plan = functools.lru_cache(maxsize=32)(_build_plan)
+
+
+def _plan(sizes: tuple[int, ...], entries: int) -> tuple[tuple[int, int], ...]:
+    # The plan of a shape whose table has `entries` entries: kept when
+    # that is at most KEPT_PLAN_ENTRIES, built afresh beyond.
+    return _kept_plan(sizes) if entries <= KEPT_PLAN_ENTRIES else _build_plan(sizes)
+
+
 def _essential(t: int, plan: tuple[tuple[int, int], ...]) -> list[int]:
     # The essential positions of the table read as T, in increasing order.
     return [pos for pos, (shift, mask) in enumerate(plan, 1) if ((t << shift) ^ t) & mask]
 
 
-def _minor(table: bytes, t: int, sizes: tuple[int, ...], i: int, j: int) -> int:
+def _minor(table: bytes, t: int, sizes: tuple[int, ...], i: int, j: int,
+           plan: tuple[tuple[int, int], ...] | None = None) -> int:
     # The table of minor (i, j) as an integer, from the table as bytes
-    # and as the integer T.
+    # and as the integer T. Only a word-level minor reads the shape's
+    # plan, fetched here unless the caller holds it.
     size = sizes[i - 1]
     if sizes[j - 1] != size:
         raise ValueError("positions to identify must share an alphabet size")
-    shift, not_last = _plan(sizes)[i - 1]
     if (size - 1) * len(table) <= WORD_MINOR_BYTES:
+        if plan is None:
+            plan = _plan(sizes, len(table))
+        shift, not_last = plan[i - 1]
         # Entry p of the minor is entry p + (p_j - p_i)*si of f, which is
         # on the diagonal; walk the diagonal to it one digit of i at a time.
         up = down = t & _diagonal(sizes, min(i, j), max(i, j))
@@ -256,7 +276,8 @@ def ess_bruteforce(f: FiniteFn) -> frozenset[int]:
     differing only at k get different values."""
     # Points one digit apart at k sit stride_k entries apart; comparing
     # every such pair covers all pairs that differ only at k.
-    return frozenset(_essential(int.from_bytes(f.table, "big"), _plan(f.sizes)))
+    table = f.table
+    return frozenset(_essential(int.from_bytes(table, "big"), _plan(f.sizes, len(table))))
 
 
 def identify_table(f: FiniteFn, i: int, j: int) -> FiniteFn:
@@ -293,7 +314,7 @@ def gap_bruteforce(f: FiniteFn) -> GapReport:
     exhausting identification minors."""
     sizes, table = f.sizes, f.table
     t = int.from_bytes(table, "big")
-    plan = _plan(sizes)
+    plan = _plan(sizes, len(table))
     positions = _essential(t, plan)
     ess = frozenset(positions)
     if len(positions) < 2:
@@ -304,7 +325,7 @@ def gap_bruteforce(f: FiniteFn) -> GapReport:
         for j in positions:
             if i == j:
                 continue
-            count = len(_essential(_minor(table, t, sizes, i, j), plan))
+            count = len(_essential(_minor(table, t, sizes, i, j, plan), plan))
             if count > best:
                 best = count
                 if best == limit:

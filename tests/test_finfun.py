@@ -401,6 +401,29 @@ def test_minors_match_point_reference_on_both_constructions(monkeypatch):
     assert {word for _, _, word in seen} == {True, False}
 
 
+def test_plans_are_kept_for_small_tables_only():
+    # A scan keeps its shape's plan when the table has at most
+    # KEPT_PLAN_ENTRIES entries; a larger table, or a sliced minor,
+    # leaves the kept plans as they were.
+    kept = latgap.finfun._kept_plan
+    kept.cache_clear()
+    n = 16
+    assert 1 << n > latgap.finfun.KEPT_PLAN_ENTRIES
+    # Depends on positions 1..4 (p mod 16, times 7, mod 5) and n.
+    big = FiniteFn((2,) * n, 5, bytes(((p & 15) * 7 + (p >> (n - 1))) % 5
+                                      for p in range(1 << n)))
+    assert ess_bruteforce(big) == {1, 2, 3, 4, n}
+    assert gap_bruteforce(big).essential == {1, 2, 3, 4, n}
+    sliced = FiniteFn((12,) * 3, 12, bytes(p % 12 for p in range(12 ** 3)))
+    assert 11 * 12 ** 3 > latgap.finfun.WORD_MINOR_BYTES
+    assert len(sliced.table) <= latgap.finfun.KEPT_PLAN_ENTRIES
+    identify_table(sliced, 1, 3)
+    assert kept.cache_info().currsize == 0
+    ess_bruteforce(sliced)
+    identify_table(FiniteFn((3,) * 3, 3, bytes(p % 3 for p in range(27))), 1, 2)
+    assert kept.cache_info().currsize == 2
+
+
 def test_enumeration_budget_is_decided_symbolically():
     # A huge count is refused without being built or printed in full.
     # 3**(10**6) alone would take about 200 KiB.
