@@ -23,10 +23,14 @@ pair per position, form the plan of a shape, kept in a bounded cache
 keyed on the alphabet sizes for tables of at most KEPT_PLAN_ENTRIES
 entries, so a scan looks up one plan.
 
-Identification minors are integers too. `gap_bruteforce` reads the
+Identification minors are integers too. The gap search reads the
 table as T once, then builds each minor as an integer and counts its
-essential positions on it, with no FiniteFn or byte string per minor;
-`identify_table` wraps the same builder in a validated FiniteFn. One
+essential positions on it, with no FiniteFn or byte string per minor.
+Both searches take a shape and a byte table: `gap_bruteforce` and
+`ess_bruteforce` are thin wrappers over the private `_gap_search` and
+`_ess_scan`, as `identify_table` wraps the minor builder `_minor` in a
+validated FiniteFn, so a caller that made and checked a table itself
+(the gap-theorem sweep) searches it with no FiniteFn at all. One
 mask keeps the diagonal (digit i equal to digit j), and 2(|A| - 1)
 shifts by 8*stride_i, each masked to the entries whose digit at i is
 not the first (not the last), copy every kept entry up (down) position
@@ -271,13 +275,17 @@ def _minor(table: bytes, t: int, sizes: tuple[int, ...], i: int, j: int,
     return int.from_bytes(_interleave([diagonal] * size, si), "big")
 
 
+def _ess_scan(sizes: tuple[int, ...], table: bytes) -> frozenset[int]:
+    # The essential positions of a table of the given shape. Points one
+    # digit apart at k sit stride_k entries apart; comparing every such
+    # pair covers all pairs that differ only at k.
+    return frozenset(_essential(int.from_bytes(table, "big"), _plan(sizes, len(table))))
+
+
 def ess_bruteforce(f: FiniteFn) -> frozenset[int]:
     """Definitional essentiality: position k is essential when two points
     differing only at k get different values."""
-    # Points one digit apart at k sit stride_k entries apart; comparing
-    # every such pair covers all pairs that differ only at k.
-    table = f.table
-    return frozenset(_essential(int.from_bytes(table, "big"), _plan(f.sizes, len(table))))
+    return _ess_scan(f.sizes, f.table)
 
 
 def identify_table(f: FiniteFn, i: int, j: int) -> FiniteFn:
@@ -309,10 +317,8 @@ class GapReport:
     gap: int | None
 
 
-def gap_bruteforce(f: FiniteFn) -> GapReport:
-    """Compute the essential positions and the arity gap, the latter by
-    exhausting identification minors."""
-    sizes, table = f.sizes, f.table
+def _gap_search(sizes: tuple[int, ...], table: bytes) -> GapReport:
+    # gap_bruteforce on a table of the given shape.
     t = int.from_bytes(table, "big")
     plan = _plan(sizes, len(table))
     positions = _essential(t, plan)
@@ -333,6 +339,12 @@ def gap_bruteforce(f: FiniteFn) -> GapReport:
         if best == limit:
             break
     return GapReport(ess, len(ess), best, len(ess) - best)
+
+
+def gap_bruteforce(f: FiniteFn) -> GapReport:
+    """Compute the essential positions and the arity gap, the latter by
+    exhausting identification minors."""
+    return _gap_search(f.sizes, f.table)
 
 
 def _periodic(block: int, total: int) -> int:

@@ -18,7 +18,6 @@ Subset masks use bit k-1 for position k; point tables are little-endian
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
@@ -56,15 +55,9 @@ def _positions(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=9)
-def _edges(arity: int) -> tuple[tuple[int, int], ...]:
-    # The pairs (mask - bit, mask) of the subset order's covers, masks
-    # ascending and bits low first: the order of PolyFn's monotonicity
-    # check, which names the first failing pair. Kept for arity 0..8,
-    # about 63 KB together (tracemalloc); arities 0..16 would pin about
-    # 97 MB, 52 MB of them for arity 16 alone.
-    return tuple((mask ^ 1 << k, mask) for mask in range(1, 1 << arity)
-                 for k in range(arity) if mask >> k & 1)
+def _check_arity(arity) -> None:
+    if not isinstance(arity, int) or not 0 <= arity <= MAX_ARITY:
+        raise ValueError(f"arity must be an int in 0..{MAX_ARITY}, got {arity!r}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +75,7 @@ class PolyFn:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.arity, int) or not 0 <= self.arity <= MAX_ARITY:
-            raise ValueError(f"arity must be an int in 0..{MAX_ARITY}, got {self.arity!r}")
+        _check_arity(self.arity)
         if not isinstance(self.table, tuple) or len(self.table) != 1 << self.arity:
             raise ValueError(f"coefficient table must be a tuple of length {1 << self.arity}")
         size = self.lattice.size
@@ -92,13 +84,9 @@ class PolyFn:
                 raise ValueError(f"coefficient index {v!r} out of range")
         table = self.table
         up = self.lattice._up
-        if self.arity <= 8:
-            for sub, mask in _edges(self.arity):
-                if not (up[table[sub]] >> table[mask]) & 1:
-                    raise self._not_monotone(sub, mask)
-            return
-        # The same covers in the same order, walked inline: a generator
-        # over them took 1.4-2.5 times as long at arity 10-12.
+        # Every cover (mask - bit, mask) of the subset order, masks
+        # ascending and bits low first, so the witness is the first
+        # failing cover.
         for mask in range(1, len(table)):
             v = table[mask]
             mm = mask
@@ -124,6 +112,14 @@ class PolyFn:
         return [(_positions(mask), names[v]) for mask, v in enumerate(self.table)]
 
 
+def _proven_polyfn(lattice: Lattice, arity: int, table: tuple[int, ...]) -> PolyFn:
+    # A PolyFn whose arity, shape and monotonicity the caller has
+    # already proved, built without the constructor's re-walk.
+    f = object.__new__(PolyFn)
+    f.__dict__.update(lattice=lattice, arity=arity, table=table)
+    return f
+
+
 def characteristic_vector(mask: int, arity: int, lattice: Lattice) -> tuple[Elem, ...]:
     """The 0/1 point e_I: top on the positions in `mask`, bottom elsewhere."""
     if not 0 <= mask < (1 << arity):
@@ -133,9 +129,14 @@ def characteristic_vector(mask: int, arity: int, lattice: Lattice) -> tuple[Elem
 
 
 def canonicalize(term: "Term") -> PolyFn:
-    """Coefficient table of a term: evaluate it at every 0/1 point."""
+    """Coefficient table of a term: evaluate it at every 0/1 point.
+
+    Raises PolyFn's arity error before evaluating anything, so an arity
+    above MAX_ARITY never starts the 2^n evaluations.
+    """
     lat = term.lattice
     n = term.arity
+    _check_arity(n)
     bot, top = lat.bottom_index, lat.top_index
     vals = []
     for mask in range(1 << n):
@@ -276,9 +277,9 @@ def value_table(f: PolyFn) -> FiniteFn:
 
 
 def value_tables(lattice: Lattice, arity: int,
-                 maps: Iterable[tuple[int, ...]]) -> Iterator[tuple[PolyFn, FiniteFn]]:
+                 maps: Iterable[tuple[int, ...]]) -> Iterator[tuple[PolyFn, bytes]]:
     """Each coefficient table of `maps` as a PolyFn over `lattice`,
-    with its value_table, lazily.
+    with the bytes of its value_table, lazily.
 
     A table is value_table's last pass over the tables of its two
     (n-1)-ary coefficient halves. Those come from value_table, once per
@@ -287,13 +288,31 @@ def value_tables(lattice: Lattice, arity: int,
     bytes of tables and key pointers. So a sweep over many maps builds
     one pass per map, and no state outlives it.
 
-    Raises value_table's errors at once, before the first map.
+    A map is monotone exactly when both halves are and a_I is below
+    a_{I+n} for every I in the low half: every other cover of the subset
+    order lies inside one half. Each half in the dict passed the PolyFn
+    constructor when it went in, so a map costs only its 2^(n-1) cross
+    covers, and its PolyFn is built without a second walk. A map that
+    fails there goes to the PolyFn constructor, which raises its usual
+    error: MonotonicityError naming the first failing cover, or
+    ValueError for a bad shape. Arity 0 takes the constructor too. Each
+    value table is checked for its length and its values, the checks
+    FiniteFn makes, and would raise FiniteFn's error.
+
+    Raises value_table's errors, and PolyFn's for a bad arity, at once,
+    before the first map.
     """
+    _check_arity(arity)
     _check_table_budget(lattice, arity)
-    sizes = (lattice.size,) * arity
-    half = (1 << arity) >> 1
+    k = lattice.size
+    entries = k ** arity
+    # Deleting these from a table leaves the values outside the lattice.
+    elements = bytes(range(k))
+    up = lattice._up
+    size = 1 << arity
+    half = size >> 1
     halves: dict[tuple[int, ...], bytes] = {}
-    room = DEFAULT_BUDGET // (lattice.size ** max(arity - 1, 0) + 8 * half)
+    room = DEFAULT_BUDGET // (k ** max(arity - 1, 0) + 8 * half)
 
     def half_table(coeffs: tuple[int, ...]) -> bytes:
         table = halves.get(coeffs)
@@ -303,13 +322,36 @@ def value_tables(lattice: Lattice, arity: int,
             table = halves[coeffs] = value_table(PolyFn(lattice, arity - 1, coeffs)).table
         return table
 
-    def tables() -> Iterator[tuple[PolyFn, FiniteFn]]:
+    def halves_if_monotone(coeffs: tuple[int, ...]) -> tuple[bytes, bytes] | None:
+        # The tables of the two halves when the map is a monotone
+        # coefficient table of the right shape, else None. Raises when a
+        # half does not pass the constructor.
+        if not isinstance(coeffs, tuple) or len(coeffs) != size:
+            return None
+        low, high = half_table(coeffs[:half]), half_table(coeffs[half:])
+        for sub in range(half):
+            if not (up[coeffs[sub]] >> coeffs[sub + half]) & 1:
+                return None
+        return low, high
+
+    def tables() -> Iterator[tuple[PolyFn, bytes]]:
         for coeffs in maps:
-            f = PolyFn(lattice, arity, coeffs)
-            table = (_extend_table(lattice, half_table(coeffs[:half]),
-                                   half_table(coeffs[half:]))
-                     if arity else bytes(coeffs))
-            yield f, FiniteFn(sizes, lattice.size, table)
+            if not arity:
+                f, table = PolyFn(lattice, 0, coeffs), bytes(coeffs)
+            else:
+                try:
+                    pair = halves_if_monotone(coeffs)
+                except (TypeError, ValueError):
+                    # The map's own error, if it has one, before a half's.
+                    PolyFn(lattice, arity, coeffs)
+                    raise
+                if pair is None:
+                    # Raises, naming the first failing cover.
+                    PolyFn(lattice, arity, coeffs)
+                f, table = _proven_polyfn(lattice, arity, coeffs), _extend_table(lattice, *pair)
+            if len(table) != entries or table.translate(None, elements):
+                FiniteFn((k,) * arity, k, table)
+            yield f, table
 
     return tables()
 

@@ -17,7 +17,11 @@ name the batch answer (`batch_gap`, `batch_essential`).
 The gap-theorem sweep hands the oracle each map's full value table from
 `polyfn.value_tables`, which builds each distinct coefficient half once,
 in a bounded dict that lives for one sweep, and each map's table in one
-pass over its two halves. So no state outlives a sweep.
+pass over its two halves. So no state outlives a sweep. Each check runs
+once, where its data is made: value_tables proves each map monotone from
+its halves and checks its table's length and values, so the oracle's
+private searches read those bytes, and the 0/1-point restriction (the
+coefficient table itself) as bytes, with no FiniteFn per map.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from typing import Callable, Iterable
 
 from .classify import (classify_boolean_gap, classify_polynomial_gap,
                        classify_pseudo_boolean_gap)
-from .finfun import (FiniteFn, GapReport, boolean_gap_codes, enumerate_all_functions,
-                     enumerate_monotone_maps, ess_bruteforce, gap_bruteforce)
+from .finfun import (FiniteFn, GapReport, _ess_scan, _gap_search, boolean_gap_codes,
+                     enumerate_all_functions, enumerate_monotone_maps, gap_bruteforce)
 from .lattice import Lattice
-from .polyfn import PolyFn, restrict_to_01, value_tables
+from .polyfn import PolyFn, value_tables
 
 Outcome = tuple[int | None, dict | None]
 
@@ -154,12 +158,16 @@ def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
     coefficient table over `lattice` (shown as `name`). On every table,
     skipped or not, the coefficient, full-domain and 0/1-point
     essentiality criteria must also agree. The value tables come from
-    polyfn.value_tables, one pass per map over memoised half tables."""
-    def check(item: tuple[PolyFn, FiniteFn]) -> Outcome:
+    polyfn.value_tables, one pass per map over memoised half tables,
+    as checked bytes that the oracle's search reads as they are; the
+    0/1-point restriction is the coefficient table itself."""
+    sizes, binary = (lattice.size,) * arity, (2,) * arity
+
+    def check(item: tuple[PolyFn, bytes]) -> Outcome:
         f, table = item
         verdict = classify_polynomial_gap(f)
-        report = gap_bruteforce(table)
-        ess01 = ess_bruteforce(restrict_to_01(f))
+        report = _gap_search(sizes, table)
+        ess01 = _ess_scan(binary, bytes(f.table))
         if _agree(verdict, report) and ess01 == report.essential:
             return report.gap, None
         return report.gap, {"coefficients": [nm for _, nm in f.dump()],

@@ -19,6 +19,7 @@ import pytest
 from latgap import (EnumerationBudgetError, PolyFn, builtin_lattice, canonicalize, chain,
                     enumerate_monotone_maps, eval_dnf, eval_term, gap_bruteforce,
                     product, salomaa_function, value_table)
+from latgap.finfun import _gap_search
 from latgap.sweep import sweep_boolean, sweep_gap_theorem, sweep_pseudo_boolean
 from helpers import random_term
 
@@ -249,11 +250,12 @@ def test_criterion_8_monotone_enumerator_counts():
 
 
 def _sweep_tables(monkeypatch, name: str, arity: int):
-    """The report and the value tables the oracle read, one per map."""
+    """The report and the (sizes, table) pairs the oracle's gap search
+    read, one per map."""
     import latgap.sweep as sweep
     tables = []
-    monkeypatch.setattr(sweep, "gap_bruteforce",
-                        lambda f: tables.append(f) or gap_bruteforce(f))
+    monkeypatch.setattr(sweep, "_gap_search", lambda sizes, table: tables.append(
+        (sizes, table)) or _gap_search(sizes, table))
     report = sweep_gap_theorem(name, builtin_lattice(name), arity)
     monkeypatch.undo()
     return report, tables
@@ -267,8 +269,9 @@ def test_gap_theorem_sweep_tables_match_value_table(monkeypatch):
         report, tables = _sweep_tables(monkeypatch, name, arity)
         maps = list(enumerate_monotone_maps(arity, lat))
         assert report.ok and len(tables) == len(maps) == report.scanned
-        for coeffs, table in zip(maps, tables):
-            assert table == value_table(PolyFn(lat, arity, coeffs)), (name, coeffs)
+        for coeffs, (sizes, table) in zip(maps, tables):
+            expected = value_table(PolyFn(lat, arity, coeffs))
+            assert (sizes, table) == (expected.sizes, expected.table), (name, coeffs)
 
 
 def test_gap_theorem_sweep_halves_are_bounded(monkeypatch):
@@ -281,10 +284,11 @@ def test_gap_theorem_sweep_halves_are_bounded(monkeypatch):
     monkeypatch.setattr(polyfn, "DEFAULT_BUDGET", 3 * (27 + 8 * 8))
     monkeypatch.setattr(polyfn, "value_table", lambda f: built.append(f) or value_table(f))
     bounded_tables = []
-    monkeypatch.setattr(sweep, "gap_bruteforce",
-                        lambda f: bounded_tables.append(f) or gap_bruteforce(f))
+    monkeypatch.setattr(sweep, "_gap_search", lambda sizes, table: bounded_tables.append(
+        (sizes, table)) or _gap_search(sizes, table))
     bounded = sweep_gap_theorem("chain3", builtin_lattice("chain3"), 4)
     assert bounded.to_json() == full.to_json()
+    assert len(tables) == full.scanned == 7581
     assert bounded_tables == tables
     # 168 distinct halves, many built more than once.
     assert len({f.table for f in built}) == 168 < len(built)

@@ -3,16 +3,18 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 
 from latgap import (GapReport, LatticeError, builtin_lattice, chain, ess_bruteforce,
-                    enumerate_all_functions, gap_bruteforce)
+                    enumerate_all_functions)
 from latgap.classify import (Gap1, GapUndefined, classify_boolean_gap,
                              classify_polynomial_gap)
 from latgap.cli import load_lattice, main
+from latgap.finfun import _ess_scan, _gap_search
 from helpers import M3_COVERS, M3_NAMES, monotone_tables_by_filter
 
 MEDIAN = "(x1 & x2) | (x2 & x3) | (x3 & x1)"
@@ -184,6 +186,16 @@ def test_analyze_verify_checks_table_size(capsys):
     rc, out, _ = run(capsys, argv)
     assert rc == 0
     assert "essential: [1, 2]" in out
+
+
+def test_analyze_caps_the_arity_before_evaluating(capsys):
+    # The 2^40 coefficients would take hours to evaluate; the arity cap
+    # is checked first, so the error comes at once.
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["analyze", "--lattice", "chain3",
+                                "--arity", "40", "--expr", "x1"])
+    assert time.perf_counter() - start < 1
+    assert (rc, out, err) == (1, "", "error: arity must be an int in 0..16, got 40\n")
 
 
 def test_codomain_bound_is_checked_first(tmp_path, capsys):
@@ -404,8 +416,8 @@ def test_gap_theorem_sweep_rejects_a_gap_of_three(capsys, monkeypatch):
     def gap_three(report):
         return GapReport(report.essential, report.ess, report.ess - 3, 3)
 
-    def oracle(f):
-        report = gap_bruteforce(f)
+    def oracle(sizes, table):
+        report = _gap_search(sizes, table)
         return gap_three(report) if report.gap == 2 else report
 
     def classifier(f):
@@ -413,7 +425,7 @@ def test_gap_theorem_sweep_rejects_a_gap_of_three(capsys, monkeypatch):
         return verdict if verdict.gap != 2 else SimpleNamespace(
             gap=3, essential=verdict.essential)
 
-    monkeypatch.setattr(sweep, "gap_bruteforce", oracle)
+    monkeypatch.setattr(sweep, "_gap_search", oracle)
     monkeypatch.setattr(sweep, "classify_polynomial_gap", classifier)
     rc, payload, _ = run_json(capsys, GAP_THEOREM)
     assert (rc, payload["ok"], payload["monotone_maps"]) == (2, False, 28)
@@ -427,11 +439,11 @@ def test_gap_theorem_sweep_checks_the_restriction(capsys, monkeypatch):
     # Classifier and oracle agree; only the 0/1-point restriction is off.
     import latgap.sweep as sweep
 
-    def drop_last(f):
-        essential = ess_bruteforce(f)
+    def drop_last(sizes, table):
+        essential = _ess_scan(sizes, table)
         return essential - {max(essential)} if essential else essential
 
-    monkeypatch.setattr(sweep, "ess_bruteforce", drop_last)
+    monkeypatch.setattr(sweep, "_ess_scan", drop_last)
     rc, payload, _ = run_json(capsys, GAP_THEOREM)
     assert (rc, payload["ok"], payload["monotone_maps"]) == (2, False, 2)
     assert payload["counterexample"] == {

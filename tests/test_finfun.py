@@ -424,6 +424,24 @@ def test_plans_are_kept_for_small_tables_only():
     assert kept.cache_info().currsize == 2
 
 
+def test_gap_search_memory_on_a_large_table():
+    # Above KEPT_PLAN_ENTRIES a search builds its plan afresh: n masks,
+    # each as long as the table, plus the table as an integer and the
+    # scans' intermediates. A seeded 2^18-entry Boolean table peaks at
+    # about 24.5 table lengths; (n + 8) lengths bound it.
+    n = 18
+    rng = random.Random(218)
+    f = FiniteFn((2,) * n, 2, bytes(rng.getrandbits(1) for _ in range(1 << n)))
+    tracemalloc.start()
+    try:
+        report = gap_bruteforce(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ess == n and report.gap == 1
+    assert peak <= (n + 8) * len(f.table), peak / len(f.table)
+
+
 def test_enumeration_budget_is_decided_symbolically():
     # A huge count is refused without being built or printed in full.
     # 3**(10**6) alone would take about 200 KiB.

@@ -11,6 +11,7 @@ from latgap import (EnumerationBudgetError, MonotonicityError, PolyFn,
                     identify, lattice_from_covers, parse_expr,
                     reduce_to_essential, restrict_to_01, simple_substitution,
                     value_table)
+from latgap.polyfn import value_tables
 from latgap.finfun import ess_bruteforce, point_at
 from helpers import (essential_by_full_scan, monotone_tables_by_filter,
                      random_term)
@@ -237,6 +238,79 @@ def test_value_table_matches_eval(c3, c4, rect23):
         for idx in range(len(vt.table)):
             point = tuple(lat.elements[d] for d in point_at(vt.sizes, idx))
             assert vt.table[idx] == eval_dnf(f, point).index
+
+
+def _drain(maps_iter):
+    """The items drawn before the iterator raised, and what it raised."""
+    items = []
+    try:
+        for item in maps_iter:
+            items.append(item)
+    except ValueError as exc:
+        return items, exc
+    return items, None
+
+
+def _constructor_error(lat, n, coeffs) -> ValueError:
+    with pytest.raises(ValueError) as err:
+        PolyFn(lat, n, coeffs)
+    return err.value
+
+
+def test_value_tables_prove_monotonicity_from_the_halves(c3):
+    # A map is monotone when both halves are and a_I <= a_{I+n} on every
+    # cross cover; a map that fails raises the constructor's own error,
+    # witness and text included. The good maps memoise the halves (0, 2)
+    # and (1, 1), so on the first bad map only the cross covers are left
+    # to fail. The high half of the third is not monotone, and there the
+    # witness of the half, a[{}] above a[{1}], is not the map's.
+    good = [(0, 2, 0, 2), (1, 1, 1, 1)]
+    for bad in ((0, 2, 1, 1), (1, 0, 2, 2), (0, 0, 2, 1), (0, 0, 0), [0, 0, 0, 0]):
+        items, exc = _drain(value_tables(c3, 2, good + [bad]))
+        expected = _constructor_error(c3, 2, bad)
+        assert [f.table for f, _ in items] == good
+        assert (type(exc), str(exc)) == (type(expected), str(expected)), bad
+        if isinstance(expected, MonotonicityError):
+            assert (exc.subset, exc.superset) == (expected.subset, expected.superset)
+    # The same on seeded tables with one coefficient redrawn, each after
+    # a run of monotone maps, at arities whose halves have halves.
+    rng = random.Random(1602)
+    rejected = 0
+    for lat in (c3, builtin_lattice("2x2")):
+        for n in (1, 3, 4):
+            for _ in range(40):
+                good = [random_monotone_table(rng, n, lat) for _ in range(3)]
+                table = list(rng.choice(good))
+                table[rng.randrange(len(table))] = rng.randrange(lat.size)
+                table = tuple(table)
+                items, exc = _drain(value_tables(lat, n, good + [table]))
+                try:
+                    f = PolyFn(lat, n, table)
+                except MonotonicityError as expected:
+                    rejected += 1
+                    assert len(items) == 3
+                    assert (str(exc), exc.subset, exc.superset) == (
+                        str(expected), expected.subset, expected.superset)
+                else:
+                    assert exc is None and items[3][0] == f
+                for f, table_bytes in items:
+                    assert table_bytes == value_table(f).table
+    assert rejected > 40
+
+
+def test_value_tables_check_each_value_table(c3, monkeypatch):
+    # Each table's length and values get FiniteFn's checks, and its
+    # errors, though the pass that made it is trusted to be right. At
+    # arity 1 the halves are constants, built with no pass.
+    import latgap.polyfn as polyfn
+    extend = polyfn._extend_table
+    for broken, message in (
+            (lambda t: t[:-1], "table has 2 entries, expected 3"),
+            (lambda t: t[:-1] + b"\x03", "value 3 out of codomain range")):
+        monkeypatch.setattr(polyfn, "_extend_table",
+                            lambda *args, _broken=broken: _broken(extend(*args)))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            next(value_tables(c3, 1, [(0, 2)]))
 
 
 def test_value_table_checks_its_size_first():
