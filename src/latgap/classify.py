@@ -9,10 +9,15 @@ essential positions (the verdict is GapUndefined, as the oracle's
 - Boolean functions: take the Zhegalkin polynomial, whose variables are
   exactly the essential ones, and test membership in the four gap-2
   families (up to permutation of variables). Everything else has gap 1.
-  The polynomial comes from a Moebius transform of the table read as
-  one integer, n shift-xor steps with cached masks; beyond three
-  essential variables only the sum form is possible, and it is read
-  off the raw monomial masks.
+  A Moebius transform of the table read as one integer, n shift-xor
+  steps with cached masks, gives the coefficient integer t: bit p is
+  the coefficient of monomial p. The verdict is read off t with the
+  arity's cached masks: position k is essential when t meets the
+  monomials containing it, the constant is bit 0, and the sum form is
+  t with no nonlinear monomial. Beyond three essential variables only
+  the sum form is possible, so only a function with at most three
+  unpacks its monomials. `zhegalkin_from_table` builds the validated
+  ZhegalkinPoly from the same t.
 - Functions from {0,1}^n into an arbitrary finite set: gap 2 exactly
   when two variables are essential and f(0,0) = f(1,1) on them (the
   others at 0), or when f factors as an injective unary map composed
@@ -28,7 +33,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .finfun import FiniteFn
 from .lattice import Elem
@@ -90,7 +95,6 @@ _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@functools.lru_cache(maxsize=32)
 def _lower_halves(n: int) -> tuple[int, ...]:
     # Mask k has bit p set, over 2**n bits, exactly when bit k of p is
     # clear; built by doubling.
@@ -107,17 +111,44 @@ def _lower_halves(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def zhegalkin_from_table(f: FiniteFn) -> ZhegalkinPoly:
-    """Parity-transform a Boolean value table into its unique polynomial."""
-    if any(a != 2 for a in f.sizes) or f.codomain != 2:
+@functools.lru_cache(maxsize=32)
+def _anf_plan(n: int) -> tuple[tuple[tuple[int, int], ...],
+                               tuple[tuple[int, int], ...], int]:
+    # Over 2**n bits: the Moebius steps (lower half k and its shift
+    # 2**k); per position k + 1, the monomials containing it (the
+    # complement of lower half k); and the nonlinear monomials, those
+    # of at least two variables.
+    full = (1 << (1 << n)) - 1
+    halves = _lower_halves(n)
+    steps = tuple((mask, 1 << k) for k, mask in enumerate(halves))
+    uppers = tuple((k, full ^ mask) for k, mask in enumerate(halves, 1))
+    nonlinear = full ^ 1 ^ sum(1 << (1 << k) for k in range(n))
+    return steps, uppers, nonlinear
+
+
+def _moebius(f: FiniteFn) -> tuple[int, tuple]:
+    # The coefficient integer t of f's Zhegalkin polynomial, whose bit p
+    # is the coefficient of monomial p, and the plan of f's arity.
+    if f.codomain != 2 or f.sizes != (2,) * len(f.sizes):
         raise ValueError("a Boolean function over {0,1}^n is required")
+    plan = _anf_plan(len(f.sizes))
     # Bit p of t is entry p. Step k xors every entry into the one with
     # bit k also set, the Moebius transform over that bit.
     t = int(f.table[::-1].translate(_TO_DIGITS), 2)
-    for k, mask in enumerate(_lower_halves(f.arity)):
-        t ^= (t & mask) << (1 << k)
+    for mask, shift in plan[0]:
+        t ^= (t & mask) << shift
+    return t, plan
+
+
+def _monomials(t: int) -> Iterator[int]:
+    # The monomials whose coefficient bit is set in t, in increasing order.
     coeffs = format(t, "b")[::-1].encode().translate(_FROM_DIGITS)
-    return ZhegalkinPoly(f.arity, frozenset(compress(range(len(coeffs)), coeffs)))
+    return compress(range(len(coeffs)), coeffs)
+
+
+def zhegalkin_from_table(f: FiniteFn) -> ZhegalkinPoly:
+    """Parity-transform a Boolean value table into its unique polynomial."""
+    return ZhegalkinPoly(f.arity, frozenset(_monomials(_moebius(f)[0])))
 
 
 @dataclass(frozen=True)
@@ -257,21 +288,21 @@ def classify_boolean_gap(f: FiniteFn) -> GapUndefined | Gap1 | BooleanForm:
 
     and gap 1 otherwise.
     """
-    poly = zhegalkin_from_table(f)
-    positions = poly.variables
-    if len(positions) < 2:
-        return GapUndefined(positions)
+    t, (_, uppers, nonlinear) = _moebius(f)
+    positions = tuple([k for k, upper in uppers if t & upper])
     m = len(positions)
-    c = 1 if 0 in poly.monomials else 0
+    if m < 2:
+        return GapUndefined(positions)
+    c = t & 1
     # Every variable occurs, so monomials of at most one variable each
     # make the sum form.
-    if all(msk & (msk - 1) == 0 for msk in poly.monomials):
+    if not t & nonlinear:
         return BooleanForm(SUM_FORM, m, c, positions)
     if m > 3:
         return Gap1(positions)
-    # Renumber the monomials so that positions[t] becomes bit t.
-    mono = {sum(1 << t for t, p in enumerate(positions) if (msk >> (p - 1)) & 1)
-            for msk in poly.monomials}
+    # Renumber the monomials so that positions[i] becomes bit i.
+    mono = {sum(1 << i for i, p in enumerate(positions) if (msk >> (p - 1)) & 1)
+            for msk in _monomials(t)}
     mono.discard(0)
     singles = sorted(msk for msk in mono if bin(msk).count("1") == 1)
     full_triangle = {0b011, 0b101, 0b110}
@@ -316,7 +347,8 @@ def classify_pseudo_boolean_gap(f: FiniteFn) -> GapUndefined | Gap1 | PseudoBool
     image = sorted(set(f.table))
     if len(image) == 2:
         for g0, g1 in (tuple(image), tuple(reversed(image))):
-            h = FiniteFn(f.sizes, 2, bytes(0 if v == g0 else 1 for v in f.table))
+            h = FiniteFn(f.sizes, 2, f.table.translate(
+                bytes.maketrans(bytes((g0, g1)), b"\x00\x01")))
             verdict = classify_boolean_gap(h)
             if verdict.gap == 2:
                 cases.append(2)

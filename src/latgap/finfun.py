@@ -114,8 +114,9 @@ class FiniteFn:
 
     `sizes[k-1]` is the alphabet size of position k, `codomain` the
     number of output values (at most MAX_CODOMAIN), and `table[i]` the
-    value at the point with little-endian mixed-radix index i. `table`
-    may be given as any sequence of ints and is stored as `bytes`.
+    value at the point with little-endian mixed-radix index i. `sizes`
+    may be given as any sequence and is stored as a tuple, `table` as
+    any sequence of ints and is stored as `bytes`.
     """
 
     sizes: tuple[int, ...]
@@ -126,6 +127,8 @@ class FiniteFn:
         if not isinstance(self.codomain, int) or self.codomain < 1:
             raise ValueError("codomain size must be at least 1")
         _check_codomain(self.codomain)
+        if type(self.sizes) is not tuple:
+            object.__setattr__(self, "sizes", tuple(self.sizes))
         for a in self.sizes:
             if not isinstance(a, int) or a < 2:
                 raise ValueError(f"alphabet sizes must be at least 2, got {a!r}")
@@ -146,6 +149,14 @@ class FiniteFn:
 
     def __call__(self, point: Sequence[int]) -> int:
         return self.table[point_index(self.sizes, point)]
+
+
+def _proven_finfun(sizes: tuple[int, ...], codomain: int, table: bytes) -> FiniteFn:
+    # A FiniteFn whose shape, codomain and values the caller has already
+    # proved, built without the constructor's re-check.
+    f = object.__new__(FiniteFn)
+    f.__dict__.update(sizes=sizes, codomain=codomain, table=table)
+    return f
 
 
 def point_index(sizes: tuple[int, ...], point: Sequence[int]) -> int:
@@ -527,13 +538,19 @@ def enumerate_all_functions(n: int, a: int, b: int) -> Iterator[FiniteFn]:
     """Yield all b**(a**n) functions from {0..a-1}^n to {0..b-1}.
 
     Checks its arguments when called, before the first function is
-    drawn: a codomain above MAX_CODOMAIN raises ValueError, and a count
-    above DEFAULT_BUDGET EnumerationBudgetError. The order is deterministic
+    drawn: an n, a or b that is not an int (or is a bool), a negative
+    n, an a or b below 2 and a codomain above MAX_CODOMAIN raise
+    ValueError, and a count above DEFAULT_BUDGET EnumerationBudgetError.
+    Every table drawn is then valid by construction, so the functions
+    are built without FiniteFn's re-check. The order is deterministic
     (the last table entry varies fastest) and every function appears
     exactly once.
     """
+    for name, value in (("arity", n), ("alphabet size", a), ("codomain size", b)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     _check_codomain(b)
-    if not isinstance(n, int) or n < 0:
+    if n < 0:
         raise ValueError("arity must be a nonnegative int")
     if a < 2 or b < 2:
         raise ValueError("alphabet sizes must be at least 2")
@@ -551,7 +568,7 @@ def enumerate_all_functions(n: int, a: int, b: int) -> Iterator[FiniteFn]:
             raise EnumerationBudgetError(
                 f"{b}**({a}**{n}) functions exceed the budget of {DEFAULT_BUDGET}")
     sizes = (a,) * n
-    return (FiniteFn(sizes, b, bytes(tab))
+    return (_proven_finfun(sizes, b, bytes(tab))
             for tab in itertools.product(range(b), repeat=points))
 
 

@@ -9,10 +9,15 @@ counterexample stops the sweep.
 
 The Boolean sweep takes the oracle's answers for the whole domain at
 once from the bit-sliced `boolean_gap_codes` and still runs the library
-classifier on every function. A disagreement is replayed through
-`gap_bruteforce`, so the counterexample comes from the per-function
-pair; only when that replay sides with the classifier does it also
-name the batch answer (`batch_gap`, `batch_essential`).
+classifier on every function, which reads its verdict off the integer
+of Zhegalkin coefficients. The functions come from
+`enumerate_all_functions`, which checks its arguments once and builds
+each table valid by construction, with no per-function re-check. The
+classifier's essential positions are compared with a sorted tuple per
+batch mask. A disagreement is replayed through `gap_bruteforce`, so
+the counterexample comes from the per-function pair; only when that
+replay sides with the classifier does it also name the batch answer
+(`batch_gap`, `batch_essential`).
 
 The gap-theorem sweep hands the oracle each map's full value table from
 `polyfn.value_tables`, which builds each distinct coefficient half once,
@@ -124,20 +129,21 @@ def sweep_boolean(arity: int) -> SweepReport:
     disagreement. A batch gap code of 3 is always a disagreement."""
     functions = enumerate_all_functions(arity, 2, 2)
     masks, codes = boolean_gap_codes(arity)
-    positions = [frozenset(k + 1 for k in range(arity) if (mask >> k) & 1)
+    # Per essential-position mask, the sorted positions, as a verdict's
+    # `essential` lists them.
+    positions = [tuple(k + 1 for k in range(arity) if (mask >> k) & 1)
                  for mask in range(1 << arity)]
 
     def check(item: tuple[FiniteFn, int, int]) -> Outcome:
         f, mask, code = item
         verdict = classify_boolean_gap(f)
         gap = _CODE_GAPS[code]
-        if (verdict.gap == gap and gap != 3
-                and frozenset(verdict.essential) == positions[mask]):
+        if verdict.gap == gap and gap != 3 and verdict.essential == positions[mask]:
             return gap, None
         report = gap_bruteforce(f)
         found = {"table": "".join(map(str, f.table)), **_both_answers(verdict, report)}
         if _agree(verdict, report):
-            found.update(batch_gap=gap, batch_essential=sorted(positions[mask]))
+            found.update(batch_gap=gap, batch_essential=list(positions[mask]))
         return report.gap, found
 
     return _sweep("boolean", {"arity": arity}, "scanned",

@@ -12,7 +12,7 @@ import latgap.finfun
 from latgap import (FOURTH_FORM, MEDIAN_FORM, MIXED_FORM, SUM_FORM,
                     BooleanForm, FiniteFn, Gap1, GapUndefined,
                     PseudoBooleanCase, TruncatedMedian, ZhegalkinPoly,
-                    canonicalize, classify_boolean_gap,
+                    boolean_gap_codes, canonicalize, classify_boolean_gap,
                     classify_polynomial_gap, classify_pseudo_boolean_gap,
                     enumerate_all_functions, ess_bruteforce, gap_bruteforce,
                     parse_expr, reduce_table, simple_substitution,
@@ -106,6 +106,34 @@ def test_classify_fourth_form_positions():
     verdict = classify_boolean_gap(anf_table(poly))
     assert verdict == BooleanForm(FOURTH_FORM, 3, 0, (2, 3, 1))
     assert verdict.essential == (1, 2, 3)
+
+
+def _template(verdict: BooleanForm, arity: int) -> ZhegalkinPoly:
+    # The family's polynomial on the verdict's positions, in template order.
+    x = [1 << (p - 1) for p in verdict.positions]
+    monomials = {
+        SUM_FORM: lambda: x,
+        MIXED_FORM: lambda: [x[0] | x[1], x[0]],
+        MEDIAN_FORM: lambda: [x[0] | x[1], x[0] | x[2], x[1] | x[2]],
+        FOURTH_FORM: lambda: [x[0] | x[1], x[0] | x[2], x[1] | x[2], x[0], x[1]],
+    }[verdict.form]()
+    return ZhegalkinPoly(arity, frozenset(monomials + [0] * verdict.c))
+
+
+def test_boolean_gap_two_verdicts_rebuild_their_tables():
+    # Every gap-2 function up to arity 4, picked by the bit-sliced oracle:
+    # the verdict's form, constant and positions spell its polynomial.
+    for n, expected in ((2, 6), (3, 28), (4, 78)):
+        _, codes = boolean_gap_codes(n)
+        found = 0
+        for code, f in zip(codes, enumerate_all_functions(n, 2, 2), strict=True):
+            if code != 2:
+                continue
+            verdict = classify_boolean_gap(f)
+            assert verdict.m == len(verdict.positions) == len(set(verdict.positions))
+            assert anf_table(_template(verdict, n)).table == f.table, f.table
+            found += 1
+        assert found == expected
 
 
 def test_classify_or_is_gap_one():

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import types
 
 import pytest
 
@@ -234,6 +235,39 @@ def test_enumerate_all_functions_counts():
     tables = [f.table for f in enumerate_all_functions(2, 2, 3)]
     assert len(tables) == 81
     assert len(set(tables)) == 81
+
+
+def test_enumerate_all_functions_rejects_non_int_arguments():
+    # Checked on the call, before any table is built; a bool is no int
+    # here, so n=True does not pass for arity 1.
+    for args in ((2, 2.0, 2), (2.0, 2, 2), (2, 2, 2.0), (True, 2, 2),
+                 (2, True, 2), (2, 2, True), ("2", 2, 2), (2, 2, None)):
+        with pytest.raises(ValueError, match="must be an int"):
+            enumerate_all_functions(*args)
+
+
+def test_enumerated_functions_are_what_validated_construction_gives():
+    for n, a, b in ((0, 2, 2), (1, 2, 3), (2, 2, 2), (2, 3, 2), (3, 2, 2)):
+        functions = enumerate_all_functions(n, a, b)
+        assert isinstance(functions, types.GeneratorType)
+        count = 0
+        for f in functions:
+            assert type(f.table) is bytes and type(f.sizes) is tuple
+            checked = FiniteFn(f.sizes, f.codomain, f.table)
+            assert f == checked and hash(f) == hash(checked)
+            count += 1
+        assert count == b ** (a ** n)
+
+
+def test_sizes_are_stored_as_a_tuple():
+    # A list of sizes is converted once, so the plan caches can key on it.
+    f = FiniteFn([2, 2], 2, bytes(4))
+    assert type(f.sizes) is tuple and f == FiniteFn((2, 2), 2, bytes(4))
+    g = FiniteFn([2, 2], 2, XOR.table)
+    assert gap_bruteforce(g) == gap_bruteforce(XOR)
+    assert ess_bruteforce(g) == {1, 2}
+    assert identify_table(g, 1, 2) == identify_table(XOR, 1, 2)
+    assert FiniteFn(range(2, 4), 2, bytes(6)).sizes == (2, 3)
 
 
 def test_enumeration_budget(monkeypatch):
