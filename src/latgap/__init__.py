@@ -16,7 +16,7 @@ from .finfun import (DEFAULT_BUDGET, EnumerationBudgetError, FiniteFn,
                      GapReport, boolean_gap_codes, enumerate_all_functions,
                      enumerate_monotone_maps, ess_bruteforce, format_finite_fn,
                      gap_bruteforce, identify_table, parse_finite_fn,
-                     point_at, point_index, reduce_table, salomaa_function)
+                     point_at, point_index, salomaa_function)
 from .lattice import (Elem, Lattice, LatticeError, boolean_cube, builtin_lattice,
                       chain, format_lattice, lattice_from_covers, parse_lattice,
                       product)

@@ -11,8 +11,7 @@ Points are encoded little-endian: position 1 is the fastest-moving
 digit of the table index, so the digit of position k repeats in runs of
 stride_k = |A_1|...|A_{k-1}| entries. A table is a `bytes` object, one
 byte per entry, so a codomain has at most MAX_CODOMAIN = 256 values and
-the inner loops run in C: large minors are built from slices of those
-runs, and values are checked with one `bytes.translate`.
+values are checked in C with one `bytes.translate`.
 
 Essentiality reads the whole table as one big-endian integer T, entry 0
 in the most significant byte. Shifting T left by 8*stride_k bits lines
@@ -30,20 +29,25 @@ Both searches take a shape and a byte table: `gap_bruteforce` and
 `ess_bruteforce` are thin wrappers over the private `_gap_search` and
 `_ess_scan`, as `identify_table` wraps the minor builder `_minor` in a
 validated FiniteFn, so a caller that made and checked a table itself
-(the gap-theorem sweep) searches it with no FiniteFn at all. One
-mask keeps the diagonal (digit i equal to digit j), and 2(|A| - 1)
-shifts by 8*stride_i, each masked to the entries whose digit at i is
-not the first (not the last), copy every kept entry up (down) position
-i. That shifts (|A| - 1) times the table's length each way, so it
-serves minors where that product is at most WORD_MINOR_BYTES, and
-larger minors are built from slices of the byte table. Timed over all
-(i, j) pairs on tables of 125 to 32,768 entries, the shifts took
-0.2-0.5 times the slicing time below that bound. Above it they still
-won up to |A| = 10 and lost from |A| = 12 on, by up to 5 times, so the
-bound errs on the side of slicing. The diagonal and not-first-digit
-masks are fetched, each from its own bounded cache keyed on the
-alphabet sizes and positions, only for minors built word-level, so
-they are at most WORD_MINOR_BYTES long.
+(the gap-theorem sweep) searches it with no FiniteFn at all.
+
+A minor is built by shifts alone, with a doubling fill (the parallel
+prefix of W. D. Hillis and G. L. Steele, "Data parallel algorithms",
+CACM 1986). The diagonal mask keeps the entries whose digit at i equals
+their digit at j: one entry in each fibre along i, the |A| points that
+differ only at i. The gather ORs the masked T >> s into itself for each
+of the plan's fill shifts s = d*8*stride_i, where d runs 1, 2, 4, ...
+(the last d cut short) and adds up to |A| - 1. So each entry collects a
+window of the digits at and below its own that grows as 1, 2, 4, ...
+and ends at exactly |A|: the last digit of a fibre holds the fibre's
+kept entry and nothing from the fibre before it. The plan's not-last
+mask clears every other digit. The broadcast ORs T << s over the same
+shifts and copies each last digit down its fibre; its windows start at
+the last digit, so they never reach past digit 0 into another fibre.
+Neither direction needs a wrap mask. A minor thus takes
+2*ceil(log2 |A|) shifts and two masks: the plan's not-last mask and the
+diagonal, fetched from its own bounded cache by the same size rule as
+plans.
 
 `boolean_gap_codes` answers the same questions for every Boolean
 function of one arity at once, bit-sliced (E. Biham, "A fast new DES
@@ -80,15 +84,12 @@ MAX_CODOMAIN = 256
 # from a table leaves the values outside it.
 _BYTES = bytes(range(MAX_CODOMAIN))
 
-# A minor is built word-level when (|A| - 1) * entries is at most this,
-# and from slices beyond it.
-WORD_MINOR_BYTES = 1 << 14
-
 # The plan of a shape (its n not-last-digit masks, each as long as the
-# table) is kept when the table has at most this many entries, so it
-# pins at most 15 * 2^15 bytes and the 32 kept plans at most 15 MiB.
-# Larger tables get a fresh plan per scan, which costs about one more
-# pass over the table per position.
+# table) and its diagonal masks are kept when the table has at most
+# this many entries, so a plan pins at most 15 * 2^15 bytes, the 32
+# kept plans at most 15 MiB and the 128 kept diagonals at most 4 MiB.
+# Larger tables get a fresh plan per scan and a fresh diagonal per
+# minor, which costs about one more pass over the table per mask.
 KEPT_PLAN_ENTRIES = 1 << 15
 
 
@@ -180,26 +181,6 @@ def point_at(sizes: tuple[int, ...], index: int) -> tuple[int, ...]:
     return tuple(point)
 
 
-def _slab(table: bytes, stride: int, size: int, v: int) -> bytes:
-    # The entries whose digit at `stride` (alphabet `size`) is v, in index
-    # order: the table of the remaining positions with that digit pinned.
-    if stride == 1:
-        return table[v::size]
-    return b"".join([table[base:base + stride]
-                     for base in range(v * stride, len(table), stride * size)])
-
-
-def _interleave(slabs: Sequence[bytes], stride: int) -> bytes:
-    # Inverse of _slab: slabs[v] becomes the entries with digit v at `stride`.
-    if stride == 1:
-        out = bytearray(len(slabs) * len(slabs[0]))
-        for v, slab in enumerate(slabs):
-            out[v::len(slabs)] = slab
-        return bytes(out)
-    return b"".join([slab[base:base + stride]
-                     for base in range(0, len(slabs[0]), stride) for slab in slabs])
-
-
 def _not_last_digit(sizes: tuple[int, ...], pos: int) -> int:
     # 0xff on every entry whose digit at `pos` is not the last, as a
     # big-endian integer the length of the table.
@@ -209,18 +190,7 @@ def _not_last_digit(sizes: tuple[int, ...], pos: int) -> int:
     return int.from_bytes(pattern * (math.prod(sizes) // block), "big")
 
 
-@functools.lru_cache(maxsize=128)
-def _not_first_digit(sizes: tuple[int, ...], pos: int) -> int:
-    # Twin of _not_last_digit: 0xff on every entry whose digit at `pos`
-    # is not 0.
-    stride = math.prod(sizes[:pos - 1])
-    block = stride * sizes[pos - 1]
-    pattern = bytes(stride) + b"\xff" * (block - stride)
-    return int.from_bytes(pattern * (math.prod(sizes) // block), "big")
-
-
-@functools.lru_cache(maxsize=128)
-def _diagonal(sizes: tuple[int, ...], i: int, j: int) -> int:
+def _build_diagonal(sizes: tuple[int, ...], i: int, j: int) -> int:
     # 0xff on every entry whose digits at i < j are equal, as a
     # big-endian integer the length of the table. Within the run where
     # digit j is v, the entries with digit v at i recur every si*size.
@@ -232,12 +202,34 @@ def _diagonal(sizes: tuple[int, ...], i: int, j: int) -> int:
     return int.from_bytes(block * (math.prod(sizes) // (sj * size)), "big")
 
 
-def _build_plan(sizes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    # Per position k: the shift 8*stride_k and _not_last_digit's mask.
+_kept_diagonal = functools.lru_cache(maxsize=128)(_build_diagonal)
+
+
+def _diagonal(sizes: tuple[int, ...], i: int, j: int) -> int:
+    # The diagonal mask of i < j, kept by the same rule as plans.
+    if math.prod(sizes) <= KEPT_PLAN_ENTRIES:
+        return _kept_diagonal(sizes, i, j)
+    return _build_diagonal(sizes, i, j)
+
+
+# Per position k of a shape: the shift 8*stride_k, _not_last_digit's
+# mask and _minor's fill shifts.
+_Plan = tuple[tuple[int, int, tuple[int, ...]], ...]
+
+
+def _build_plan(sizes: tuple[int, ...]) -> _Plan:
     plan = []
     stride = 1
     for pos, size in enumerate(sizes, 1):
-        plan.append((8 * stride, _not_last_digit(sizes, pos)))
+        # Steps d = 1, 2, 4, ... that add up to |A_k| - 1, so that the
+        # windows they fill grow to exactly |A_k| digits.
+        fills = []
+        width = 1
+        while width < size:
+            step = min(width, size - width)
+            fills.append(8 * stride * step)
+            width += step
+        plan.append((8 * stride, _not_last_digit(sizes, pos), tuple(fills)))
         stride *= size
     return tuple(plan)
 
@@ -245,45 +237,34 @@ def _build_plan(sizes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 _kept_plan = functools.lru_cache(maxsize=32)(_build_plan)
 
 
-def _plan(sizes: tuple[int, ...], entries: int) -> tuple[tuple[int, int], ...]:
+def _plan(sizes: tuple[int, ...], entries: int) -> _Plan:
     # The plan of a shape whose table has `entries` entries: kept when
     # that is at most KEPT_PLAN_ENTRIES, built afresh beyond.
     return _kept_plan(sizes) if entries <= KEPT_PLAN_ENTRIES else _build_plan(sizes)
 
 
-def _essential(t: int, plan: tuple[tuple[int, int], ...]) -> list[int]:
+def _essential(t: int, plan: _Plan) -> list[int]:
     # The essential positions of the table read as T, in increasing order.
-    return [pos for pos, (shift, mask) in enumerate(plan, 1) if ((t << shift) ^ t) & mask]
+    return [pos for pos, (shift, mask, _) in enumerate(plan, 1) if ((t << shift) ^ t) & mask]
 
 
-def _minor(table: bytes, t: int, sizes: tuple[int, ...], i: int, j: int,
-           plan: tuple[tuple[int, int], ...] | None = None) -> int:
-    # The table of minor (i, j) as an integer, from the table as bytes
-    # and as the integer T. Only a word-level minor reads the shape's
-    # plan, fetched here unless the caller holds it.
-    size = sizes[i - 1]
-    if sizes[j - 1] != size:
+def _minor(t: int, sizes: tuple[int, ...], i: int, j: int, plan: _Plan) -> int:
+    # The table of minor (i, j) as an integer, from the table as the
+    # integer T. Entry p of the minor is the entry of its fibre along i
+    # (the points that differ from p only at i) whose digit at i equals
+    # its digit at j, the one entry of that fibre the diagonal keeps.
+    if sizes[j - 1] != sizes[i - 1]:
         raise ValueError("positions to identify must share an alphabet size")
-    if (size - 1) * len(table) <= WORD_MINOR_BYTES:
-        if plan is None:
-            plan = _plan(sizes, len(table))
-        shift, not_last = plan[i - 1]
-        # Entry p of the minor is entry p + (p_j - p_i)*si of f, which is
-        # on the diagonal; walk the diagonal to it one digit of i at a time.
-        up = down = t & _diagonal(sizes, min(i, j), max(i, j))
-        minor = up
-        not_first = _not_first_digit(sizes, i)
-        for _ in range(size - 1):
-            up = (up >> shift) & not_first
-            down = (down << shift) & not_last
-            minor |= up | down
-        return minor
-    si = math.prod(sizes[:i - 1])
-    # Stride of position j once position i is sliced away.
-    sj = math.prod(sizes[:j - 1]) // (size if j > i else 1)
-    diagonal = _interleave([_slab(_slab(table, si, size, v), sj, size, v)
-                            for v in range(size)], sj)
-    return int.from_bytes(_interleave([diagonal] * size, si), "big")
+    _, not_last, fills = plan[i - 1]
+    minor = t & _diagonal(sizes, min(i, j), max(i, j))
+    # Gather each fibre's entry into its last digit, keep only those ...
+    for shift in fills:
+        minor |= minor >> shift
+    minor ^= minor & not_last
+    # ... and copy it back down the fibre.
+    for shift in fills:
+        minor |= minor << shift
+    return minor
 
 
 def _ess_scan(sizes: tuple[int, ...], table: bytes) -> frozenset[int]:
@@ -300,13 +281,21 @@ def ess_bruteforce(f: FiniteFn) -> frozenset[int]:
 
 
 def identify_table(f: FiniteFn, i: int, j: int) -> FiniteFn:
-    """The minor with position i forced to copy position j."""
+    """The minor with position i forced to copy position j.
+
+    Raises ValueError for positions that are not ints (or are bools),
+    lie outside 1..arity, are equal, or have different alphabet sizes.
+    """
+    for pos in (i, j):
+        if not isinstance(pos, int) or isinstance(pos, bool):
+            raise ValueError(f"positions must be ints, got {pos!r}")
     n = f.arity
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"positions must be in 1..{n}, got ({i}, {j})")
     if i == j:
         raise ValueError("identify needs two distinct positions")
-    minor = _minor(f.table, int.from_bytes(f.table, "big"), f.sizes, i, j)
+    minor = _minor(int.from_bytes(f.table, "big"), f.sizes, i, j,
+                   _plan(f.sizes, len(f.table)))
     return FiniteFn(f.sizes, f.codomain, minor.to_bytes(len(f.table), "big"))
 
 
@@ -342,7 +331,7 @@ def _gap_search(sizes: tuple[int, ...], table: bytes) -> GapReport:
         for j in positions:
             if i == j:
                 continue
-            count = len(_essential(_minor(table, t, sizes, i, j, plan), plan))
+            count = len(_essential(_minor(t, sizes, i, j, plan), plan))
             if count > best:
                 best = count
                 if best == limit:
@@ -354,7 +343,15 @@ def _gap_search(sizes: tuple[int, ...], table: bytes) -> GapReport:
 
 def gap_bruteforce(f: FiniteFn) -> GapReport:
     """Compute the essential positions and the arity gap, the latter by
-    exhausting identification minors."""
+    exhausting identification minors.
+
+    Minors are tried for each ordered pair of essential positions in
+    increasing order, until one keeps all but one essential position.
+    Raises ValueError ("positions to identify must share an alphabet
+    size") when the search reaches a pair of essential positions whose
+    alphabet sizes differ, such as positions 1 and 2 of
+    (x1 + x2) mod 3 over alphabets of sizes 2 and 3.
+    """
     return _gap_search(f.sizes, f.table)
 
 
@@ -451,23 +448,6 @@ def boolean_gap_codes(n: int) -> tuple[bytes, bytes]:
     codes = sum(_byte_per_bit(plane, total)
                 for plane in (analysed, analysed & ~gap1, analysed & ~at_most2))
     return masks.to_bytes(total, "little"), codes.to_bytes(total, "little")
-
-
-def reduce_table(f: FiniteFn) -> tuple[FiniteFn, tuple[int, ...]]:
-    """Drop inessential positions by pinning them at digit 0.
-
-    Returns the reduced function and the original positions kept, in
-    increasing order (positions[t-1] is now position t).
-    """
-    ess = ess_bruteforce(f)
-    table = f.table
-    # Last position first, so the strides of the ones before stay valid.
-    for pos in range(f.arity, 0, -1):
-        if pos not in ess:
-            table = _slab(table, math.prod(f.sizes[:pos - 1]), f.sizes[pos - 1], 0)
-    positions = tuple(sorted(ess))
-    new_sizes = tuple(f.sizes[p - 1] for p in positions)
-    return FiniteFn(new_sizes, f.codomain, table), positions
 
 
 def salomaa_function(k: int) -> FiniteFn:

@@ -15,9 +15,9 @@ from latgap import (FOURTH_FORM, MEDIAN_FORM, MIXED_FORM, SUM_FORM,
                     boolean_gap_codes, canonicalize, classify_boolean_gap,
                     classify_polynomial_gap, classify_pseudo_boolean_gap,
                     enumerate_all_functions, ess_bruteforce, gap_bruteforce,
-                    parse_expr, reduce_table, simple_substitution,
-                    value_table, zhegalkin_from_table)
-from helpers import monotone_tables_by_filter
+                    parse_expr, simple_substitution, value_table,
+                    zhegalkin_from_table)
+from helpers import monotone_tables_by_filter, reduce_by_points
 from latgap.polyfn import from_monotone_table
 from latgap.sweep import sweep_boolean, sweep_pseudo_boolean
 
@@ -204,7 +204,9 @@ def test_pseudo_sees_through_padding():
     # positions gets the verdict of its reduction; below two, GapUndefined.
     analyzed = padded = 0
     for f in enumerate_all_functions(3, 2, 3):
-        reduced, positions = reduce_table(f)
+        positions = tuple(sorted(ess_bruteforce(f)))
+        reduced = FiniteFn((2,) * len(positions), 3,
+                           reduce_by_points(f.sizes, f.table, positions))
         verdict = classify_pseudo_boolean_gap(f)
         assert verdict.essential == positions, f.table
         if reduced.arity < 2:
@@ -378,6 +380,52 @@ def test_public_names_resolve_and_exclude_submodules():
     assert {"GapUndefined", "classify_polynomial_gap", "FiniteFn"} <= set(latgap.__all__)
     assert not {"GapUndefinedError", "is_truncated_median",
                 "GapClassification"} & set(dir(latgap))
+
+
+def _unused_private_names(sources: list[str]) -> list[str]:
+    """Module-level private functions, classes and constants defined in
+    one of `sources` and referenced nowhere but in their own definition."""
+    defined = []
+    used = set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [name for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+                    ref = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    ref = sub.attr
+                elif isinstance(sub, ast.alias):
+                    ref = sub.name
+                else:
+                    continue
+                if ref not in names:
+                    used.add(ref)
+    return [name for name in defined if name not in used]
+
+
+def test_no_dead_private_helpers():
+    samples = {
+        "def _f(): pass": ["_f"],
+        "def _f(): return _f()": ["_f"],
+        "def _f(): pass\ndef g(): return _f()": [],
+        "_C = 1\nclass _K: pass\n__all__ = []\nx = _C": ["_K"],
+        "_T: int = 2\ny = m._T": [],
+    }
+    for source, names in samples.items():
+        assert _unused_private_names([source]) == names, source
+    assert _unused_private_names(["def _f(): pass", "from .a import _f"]) == []
+    sources = [path.read_text()
+               for path in sorted(Path(latgap.classify.__file__).parent.glob("*.py"))]
+    assert _unused_private_names(sources) == []
 
 
 def _ref_name(node: ast.AST) -> str | None:

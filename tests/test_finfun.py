@@ -13,11 +13,9 @@ import latgap.finfun
 from latgap import (EnumerationBudgetError, FiniteFn, boolean_gap_codes,
                     builtin_lattice, chain, enumerate_all_functions, enumerate_monotone_maps,
                     ess_bruteforce, format_finite_fn, gap_bruteforce,
-                    identify_table, parse_finite_fn, point_at, reduce_table,
-                    salomaa_function)
+                    identify_table, parse_finite_fn, point_at, salomaa_function)
 from helpers import (essential_by_points, gap_by_points, identify_by_points,
-                     monotone_maps_recursive, monotone_tables_by_filter,
-                     reduce_by_points)
+                     monotone_maps_recursive, monotone_tables_by_filter)
 
 XOR = FiniteFn((2, 2), 2, (0, 1, 1, 0))
 AND = FiniteFn((2, 2), 2, (0, 0, 0, 1))
@@ -54,6 +52,10 @@ def test_identify_errors():
         identify_table(XOR, 1, 1)
     with pytest.raises(ValueError, match="1..2"):
         identify_table(XOR, 0, 1)
+    # A float position is no index, and True is no position 1.
+    for i, j in ((1.0, 2), (True, 2), (1, False)):
+        with pytest.raises(ValueError, match="^positions must be ints, got "):
+            identify_table(XOR, i, j)
     mixed = FiniteFn((2, 3), 2, (0,) * 6)
     with pytest.raises(ValueError, match="alphabet size"):
         identify_table(mixed, 1, 2)
@@ -103,36 +105,13 @@ def test_gap_report_identity():
             assert report.gap == report.ess - report.essl >= 1
 
 
-def test_reduce_table():
-    f = FiniteFn((2, 2, 2), 2, tuple((i >> 1) & 1 for i in range(8)))
-    reduced, positions = reduce_table(f)
-    assert positions == (2,)
-    assert reduced.sizes == (2,)
-    assert reduced.table == bytes((0, 1))
-
-
-def test_reduce_table_keeps_values():
-    f = FiniteFn((2, 3), 4, (3, 3, 1, 1, 0, 0))
-    reduced, positions = reduce_table(f)
-    assert positions == (2,)
-    assert reduced.sizes == (3,)
-    assert reduced.table == bytes((3, 1, 0))
-    assert reduced.codomain == 4
-
-
 def check_against_points(f: FiniteFn, minors: bool = True) -> None:
-    """ess_bruteforce and reduce_table against the point-tuple references
-    and, with `minors`, every equal-size identify_table minor and (where
-    the essential positions share one alphabet) gap_bruteforce too."""
+    """ess_bruteforce against the point-tuple reference and, with
+    `minors`, every equal-size identify_table minor and (where the
+    essential positions share one alphabet) gap_bruteforce too."""
     sizes = f.sizes
     ess = essential_by_points(sizes, f.table)
     assert ess_bruteforce(f) == ess
-    keep = tuple(sorted(ess))
-    reduced, positions = reduce_table(f)
-    assert positions == keep
-    assert reduced.sizes == tuple(sizes[p - 1] for p in keep)
-    assert reduced.table == bytes(reduce_by_points(sizes, f.table, keep))
-    assert reduced.codomain == f.codomain
     if not minors:
         return
     for i in range(1, f.arity + 1):
@@ -149,13 +128,13 @@ def check_against_points(f: FiniteFn, minors: bool = True) -> None:
 def test_stride_arithmetic_matches_point_reference():
     # Random tables over mixed alphabets that ignore some planted
     # positions, checked against references that walk point tuples.
-    # (12, 12, 12) is the one shape whose minors are built from slices
-    # ((|A| - 1) * entries > WORD_MINOR_BYTES); its point references
+    # (12, 12, 12) is the widest alphabet, whose minors take four fill
+    # shifts each way (1, 2, 4 and 4 digits); its point references
     # take a few tenths of a second per table, so it gets only a few.
     rng = random.Random(2009)
     shapes = [((2, 3, 3), 40), ((3, 2, 3, 2), 40), ((3, 3, 2, 3), 40),
               ((4, 4, 4, 4), 40), ((12, 12, 12), 2)]
-    sliced = 0
+    wide = 0
     for (sizes, count), codomain in itertools.product(shapes, (3, 256)):
         for _ in range(count):
             n = len(sizes)
@@ -171,9 +150,9 @@ def test_stride_arithmetic_matches_point_reference():
             assert ess <= {k + 1 for k in used}
             check_against_points(f)
             if sizes[0] == 12 and len(ess) >= 2:
-                sliced += 1
-    # gap_bruteforce met the reference on sliced minors of three tables.
-    assert sliced == 3
+                wide += 1
+    # gap_bruteforce met the reference on 12-letter minors of three tables.
+    assert wide == 3
 
 
 def test_every_small_boolean_function_matches_point_reference():
@@ -397,15 +376,12 @@ def test_monotone_maps_match_the_recursive_enumerator():
     assert compared == 26
 
 
-def test_minors_match_point_reference_on_both_constructions(monkeypatch):
-    # identify_table builds a minor word-level when (|A| - 1) * entries
-    # is at most WORD_MINOR_BYTES and from slices beyond it. Every
-    # shape is checked both ways, in both orders of (i, j), and the
-    # shapes fall on both sides of the bound unforced.
+def test_minors_match_point_reference():
+    # Every shape in both orders of (i, j), over alphabets whose fill
+    # takes one to five shifts each way, the last one cut short or not.
     rng = random.Random(1324)
     shapes = [(2,) * 5, (3,) * 4, (4,) * 4, (8,) * 3, (16,) * 2, (16,) * 3,
               (17,) * 2, (17,) * 3, (3, 2, 3, 4), (2, 5, 5)]
-    diagonal = latgap.finfun._diagonal
     seen = set()
     for sizes in shapes:
         # Values 0 and 255 included, so a mask that leaks a byte shows.
@@ -414,33 +390,28 @@ def test_minors_match_point_reference_on_both_constructions(monkeypatch):
         for i, j in itertools.permutations(range(1, len(sizes) + 1), 2):
             if sizes[i - 1] != sizes[j - 1]:
                 continue
-            word = (sizes[i - 1] - 1) * len(table) <= latgap.finfun.WORD_MINOR_BYTES
-            seen.add((i < j, sizes[i - 1], word))
-            expected = bytes(identify_by_points(sizes, table, i, j))
-            # Only the word-level construction reads the diagonal mask.
-            masks = []
-            monkeypatch.setattr(latgap.finfun, "_diagonal",
-                                lambda *key: masks.append(key) or diagonal(*key))
-            assert identify_table(f, i, j).table == expected, (sizes, i, j)
-            assert bool(masks) == word, (sizes, i, j)
-            monkeypatch.undo()
-            for bound in (0, 1 << 30):
-                monkeypatch.setattr(latgap.finfun, "WORD_MINOR_BYTES", bound)
-                minor = identify_table(f, i, j)
-                assert (minor.sizes, minor.codomain) == (sizes, 256)
-                assert minor.table == expected, (sizes, i, j, bound)
-            monkeypatch.undo()
-    assert {a for _, a, _ in seen} == {2, 3, 4, 5, 8, 16, 17}
-    assert {before for before, _, _ in seen} == {True, False}
-    assert {word for _, _, word in seen} == {True, False}
+            seen.add((i < j, sizes[i - 1]))
+            minor = identify_table(f, i, j)
+            assert (minor.sizes, minor.codomain) == (sizes, 256)
+            assert minor.table == bytes(identify_by_points(sizes, table, i, j)), (sizes, i, j)
+    assert {a for _, a in seen} == {2, 3, 4, 5, 8, 16, 17}
+    assert {before for before, _ in seen} == {True, False}
+    # Above KEPT_PLAN_ENTRIES the plan and the diagonal are built afresh.
+    sizes = (3,) + (2,) * 12 + (3,)
+    assert math.prod(sizes) > latgap.finfun.KEPT_PLAN_ENTRIES
+    table = bytes([0, 255] + [rng.randrange(256) for _ in range(math.prod(sizes) - 2)])
+    for i, j in ((14, 1), (5, 9)):
+        assert (identify_table(FiniteFn(sizes, 256, table), i, j).table
+                == bytes(identify_by_points(sizes, table, i, j))), (i, j)
 
 
 def test_plans_are_kept_for_small_tables_only():
-    # A scan keeps its shape's plan when the table has at most
-    # KEPT_PLAN_ENTRIES entries; a larger table, or a sliced minor,
-    # leaves the kept plans as they were.
-    kept = latgap.finfun._kept_plan
+    # A scan keeps its shape's plan, and a minor its diagonal, when the
+    # table has at most KEPT_PLAN_ENTRIES entries; a larger table leaves
+    # the kept plans and diagonals as they were.
+    kept, diagonals = latgap.finfun._kept_plan, latgap.finfun._kept_diagonal
     kept.cache_clear()
+    diagonals.cache_clear()
     n = 16
     assert 1 << n > latgap.finfun.KEPT_PLAN_ENTRIES
     # Depends on positions 1..4 (p mod 16, times 7, mod 5) and n.
@@ -448,32 +419,38 @@ def test_plans_are_kept_for_small_tables_only():
                                       for p in range(1 << n)))
     assert ess_bruteforce(big) == {1, 2, 3, 4, n}
     assert gap_bruteforce(big).essential == {1, 2, 3, 4, n}
-    sliced = FiniteFn((12,) * 3, 12, bytes(p % 12 for p in range(12 ** 3)))
-    assert 11 * 12 ** 3 > latgap.finfun.WORD_MINOR_BYTES
-    assert len(sliced.table) <= latgap.finfun.KEPT_PLAN_ENTRIES
-    identify_table(sliced, 1, 3)
-    assert kept.cache_info().currsize == 0
-    ess_bruteforce(sliced)
+    assert kept.cache_info().currsize == diagonals.cache_info().currsize == 0
+    ess_bruteforce(FiniteFn((12,) * 3, 12, bytes(p % 12 for p in range(12 ** 3))))
     identify_table(FiniteFn((3,) * 3, 3, bytes(p % 3 for p in range(27))), 1, 2)
     assert kept.cache_info().currsize == 2
+    assert diagonals.cache_info().currsize == 1
 
 
 def test_gap_search_memory_on_a_large_table():
     # Above KEPT_PLAN_ENTRIES a search builds its plan afresh: n masks,
-    # each as long as the table, plus the table as an integer and the
-    # scans' intermediates. A seeded 2^18-entry Boolean table peaks at
-    # about 24.5 table lengths; (n + 8) lengths bound it.
+    # each as long as the table, plus the table as an integer, one
+    # diagonal and the minor's intermediates. Two 2^18-entry Boolean
+    # tables: a seeded one where every position is essential and the
+    # first minor ends the search, and the parity of positions 2..5,
+    # where all 12 minors are built on the smallest strides. Each
+    # peaks at about 24.5 table lengths; (n + 8) lengths bound them,
+    # a margin of 1.5 lengths. Nothing table-sized outlives the call:
+    # neither plan nor diagonal is kept at this size.
     n = 18
     rng = random.Random(218)
-    f = FiniteFn((2,) * n, 2, bytes(rng.getrandbits(1) for _ in range(1 << n)))
-    tracemalloc.start()
-    try:
-        report = gap_bruteforce(f)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.ess == n and report.gap == 1
-    assert peak <= (n + 8) * len(f.table), peak / len(f.table)
+    seeded = bytes(rng.getrandbits(1) for _ in range(1 << n))
+    parity = bytes((p >> 1 ^ p >> 2 ^ p >> 3 ^ p >> 4) & 1 for p in range(1 << n))
+    for table, ess, gap in ((seeded, n, 1), (parity, 4, 2)):
+        f = FiniteFn((2,) * n, 2, table)
+        tracemalloc.start()
+        try:
+            report = gap_bruteforce(f)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (report.ess, report.gap) == (ess, gap)
+        assert peak <= (n + 8) * len(table), peak / len(table)
+        assert current < len(table) // 16, current
 
 
 def test_enumeration_budget_is_decided_symbolically():
