@@ -14,19 +14,17 @@ from .classify import (FOURTH_FORM, MEDIAN_FORM, MIXED_FORM, SUM_FORM,
                        zhegalkin_from_table)
 from .finfun import (DEFAULT_BUDGET, EnumerationBudgetError, FiniteFn,
                      GapReport, boolean_gap_codes, enumerate_all_functions,
-                     enumerate_monotone_maps, ess_bruteforce, format_finite_fn,
-                     gap_bruteforce, identify_table, parse_finite_fn,
-                     point_at, point_index, salomaa_function)
+                     enumerate_monotone_maps, ess_bruteforce, gap_bruteforce,
+                     identify_table, parse_finite_fn, point_index,
+                     salomaa_function, table_gap_codes)
 from .lattice import (Elem, Lattice, LatticeError, boolean_cube, builtin_lattice,
                       chain, format_lattice, lattice_from_covers, parse_lattice,
                       product)
 from .polyfn import (MAX_ARITY, MonotonicityError, PolyFn, canonicalize,
-                     characteristic_vector, equivalent, essential_variables,
-                     eval_dnf, from_monotone_table, identify,
-                     reduce_to_essential, restrict_to_01, simple_substitution,
+                     equivalent, essential_variables, identify,
+                     reduce_to_essential, simple_substitution,
                      value_table)
-from .terms import (Const, Join, Meet, ParseError, Term, Var, eval_term,
-                    format_dnf, parse_expr)
+from .terms import Const, Join, Meet, ParseError, Term, Var, format_dnf, parse_expr
 
 __version__ = "0.1.0"
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .finfun import FiniteFn
 from .lattice import Elem
@@ -51,18 +51,6 @@ class ZhegalkinPoly:
         for m in self.monomials:
             if not isinstance(m, int) or not 0 <= m < (1 << self.arity):
                 raise ValueError(f"monomial mask {m!r} out of range")
-
-    def evaluate(self, point: Sequence[int]) -> int:
-        mask = 0
-        for k, bit in enumerate(point):
-            if bit not in (0, 1):
-                raise ValueError(f"bad Boolean digit {bit!r}")
-            mask |= bit << k
-        acc = 0
-        for m in self.monomials:
-            if m & ~mask == 0:
-                acc ^= 1
-        return acc
 
     @property
     def variables(self) -> tuple[int, ...]:

@@ -19,41 +19,36 @@ every entry up with the entry one digit higher at position k, so k is
 inessential exactly when ((T << 8*stride_k) ^ T) vanishes on the
 entries whose digit at k is not the last. Those shifts and masks, one
 pair per position, form the plan of a shape, kept in a bounded cache
-keyed on the alphabet sizes for tables of at most KEPT_PLAN_ENTRIES
-entries, so a scan looks up one plan.
+for tables of at most KEPT_PLAN_ENTRIES entries and built one position
+at a time, as a scan reads it, beyond.
 
-Identification minors are integers too. The gap search reads the
-table as T once, then builds each minor as an integer and counts its
-essential positions on it, with no FiniteFn or byte string per minor.
-Both searches take a shape and a byte table: `gap_bruteforce` and
+Identification minors are integers too. `gap_bruteforce` and
 `ess_bruteforce` are thin wrappers over the private `_gap_search` and
-`_ess_scan`, as `identify_table` wraps the minor builder `_minor` in a
-validated FiniteFn, so a caller that made and checked a table itself
-(the gap-theorem sweep) searches it with no FiniteFn at all.
+`_ess_scan`, which take a shape and a byte table, so a caller that made
+and checked a table itself searches it with no FiniteFn at all. A minor
+is built by shifts alone, with a doubling fill (the parallel prefix of
+W. D. Hillis and G. L. Steele, "Data parallel algorithms", CACM 1986).
+The diagonal mask keeps, in each fibre along i (the |A| points that
+differ only at i), the entry whose digit at i equals its digit at j.
+The gather ORs the masked T >> s into itself over the plan's fill
+shifts s = d*8*stride_i, d = 1, 2, 4, ... (the last cut short) adding
+up to |A| - 1, so each entry collects a window of exactly |A| digits at
+and below its own: the last digit of a fibre holds the kept entry and
+nothing from the fibre before. The not-last mask clears the rest, and
+the broadcast ORs T << s over the same shifts, down the fibre and never
+past digit 0. The diagonals are cached by the size rule of plans.
 
-A minor is built by shifts alone, with a doubling fill (the parallel
-prefix of W. D. Hillis and G. L. Steele, "Data parallel algorithms",
-CACM 1986). The diagonal mask keeps the entries whose digit at i equals
-their digit at j: one entry in each fibre along i, the |A| points that
-differ only at i. The gather ORs the masked T >> s into itself for each
-of the plan's fill shifts s = d*8*stride_i, where d runs 1, 2, 4, ...
-(the last d cut short) and adds up to |A| - 1. So each entry collects a
-window of the digits at and below its own that grows as 1, 2, 4, ...
-and ends at exactly |A|: the last digit of a fibre holds the fibre's
-kept entry and nothing from the fibre before it. The plan's not-last
-mask clears every other digit. The broadcast ORs T << s over the same
-shifts and copies each last digit down its fibre; its windows start at
-the last digit, so they never reach past digit 0 into another fibre.
-Neither direction needs a wrap mask. A minor thus takes
-2*ceil(log2 |A|) shifts and two masks: the plan's not-last mask and the
-diagonal, fetched from its own bounded cache by the same size rule as
-plans.
-
-`boolean_gap_codes` answers the same questions for every Boolean
-function of one arity at once, bit-sliced (E. Biham, "A fast new DES
-implementation in software", FSE 1997): one big integer per point,
-whose bit F is the value of function F there. It too reads values
-only, and `gap_bruteforce` stays the reference for single functions.
+Two batch oracles answer the same questions for many tables at once.
+`boolean_gap_codes` takes every Boolean function of one arity,
+bit-sliced (E. Biham, "A fast new DES implementation in software", FSE
+1997): one big integer per point, whose bit F is function F's value
+there. `table_gap_codes` takes a chunk of tables of one shape in byte
+lanes (L. Lamport, "Multiple byte processing with full-word
+instructions", CACM 1975): one big integer per point, whose byte f is
+table f's value there. XOR and OR never carry between lanes, so each
+neighbour pair of points costs one XOR and one OR for the whole chunk.
+Both read values only, and `gap_bruteforce` stays the reference for
+single functions.
 
 This module imports no other latgap module at run time, so the oracle
 knows only value tables.
@@ -64,8 +59,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .lattice import Lattice
@@ -88,8 +84,8 @@ _BYTES = bytes(range(MAX_CODOMAIN))
 # table) and its diagonal masks are kept when the table has at most
 # this many entries, so a plan pins at most 15 * 2^15 bytes, the 32
 # kept plans at most 15 MiB and the 128 kept diagonals at most 4 MiB.
-# Larger tables get a fresh plan per scan and a fresh diagonal per
-# minor, which costs about one more pass over the table per mask.
+# Larger tables get each mask built as it is read, which costs about
+# one more pass over the table per mask.
 KEPT_PLAN_ENTRIES = 1 << 15
 
 
@@ -173,14 +169,6 @@ def point_index(sizes: tuple[int, ...], point: Sequence[int]) -> int:
     return idx
 
 
-def point_at(sizes: tuple[int, ...], index: int) -> tuple[int, ...]:
-    point = []
-    for size in sizes:
-        point.append(index % size)
-        index //= size
-    return tuple(point)
-
-
 def _not_last_digit(sizes: tuple[int, ...], pos: int) -> int:
     # 0xff on every entry whose digit at `pos` is not the last, as a
     # big-endian integer the length of the table.
@@ -214,33 +202,42 @@ def _diagonal(sizes: tuple[int, ...], i: int, j: int) -> int:
 
 # Per position k of a shape: the shift 8*stride_k, _not_last_digit's
 # mask and _minor's fill shifts.
-_Plan = tuple[tuple[int, int, tuple[int, ...]], ...]
+_PlanEntry = tuple[int, int, tuple[int, ...]]
+_Plan = Sequence[_PlanEntry]
 
 
-def _build_plan(sizes: tuple[int, ...]) -> _Plan:
-    plan = []
-    stride = 1
-    for pos, size in enumerate(sizes, 1):
-        # Steps d = 1, 2, 4, ... that add up to |A_k| - 1, so that the
-        # windows they fill grow to exactly |A_k| digits.
-        fills = []
-        width = 1
-        while width < size:
-            step = min(width, size - width)
-            fills.append(8 * stride * step)
-            width += step
-        plan.append((8 * stride, _not_last_digit(sizes, pos), tuple(fills)))
-        stride *= size
-    return tuple(plan)
+def _plan_entry(sizes: tuple[int, ...], pos: int) -> _PlanEntry:
+    stride, size = math.prod(sizes[:pos - 1]), sizes[pos - 1]
+    # Steps d = 1, 2, 4, ... that add up to |A_k| - 1, so that the
+    # windows they fill grow to exactly |A_k| digits.
+    fills = []
+    width = 1
+    while width < size:
+        step = min(width, size - width)
+        fills.append(8 * stride * step)
+        width += step
+    return 8 * stride, _not_last_digit(sizes, pos), tuple(fills)
 
 
-_kept_plan = functools.lru_cache(maxsize=32)(_build_plan)
+@functools.lru_cache(maxsize=32)
+def _kept_plan(sizes: tuple[int, ...]) -> _Plan:
+    return tuple(_plan_entry(sizes, pos) for pos in range(1, len(sizes) + 1))
+
+
+class _FreshPlan:
+    # The plan of a shape too large to keep. Each entry is built when it
+    # is read, so a scan holds one or two not-last masks, not n.
+    def __init__(self, sizes: tuple[int, ...]):
+        self.sizes = sizes
+
+    def __getitem__(self, index: int) -> _PlanEntry:
+        return _plan_entry(self.sizes, range(1, len(self.sizes) + 1)[index])
 
 
 def _plan(sizes: tuple[int, ...], entries: int) -> _Plan:
     # The plan of a shape whose table has `entries` entries: kept when
-    # that is at most KEPT_PLAN_ENTRIES, built afresh beyond.
-    return _kept_plan(sizes) if entries <= KEPT_PLAN_ENTRIES else _build_plan(sizes)
+    # that is at most KEPT_PLAN_ENTRIES, built as it is read beyond.
+    return _kept_plan(sizes) if entries <= KEPT_PLAN_ENTRIES else _FreshPlan(sizes)
 
 
 def _essential(t: int, plan: _Plan) -> list[int]:
@@ -450,6 +447,118 @@ def boolean_gap_codes(n: int) -> tuple[bytes, bytes]:
     return masks.to_bytes(total, "little"), codes.to_bytes(total, "little")
 
 
+def _build_lane_plan(sizes: tuple[int, ...]) -> tuple[Iterable, Iterable]:
+    # Per position k, the points whose digit at k is not the last and
+    # their neighbours one digit up there; per pair i < j of positions,
+    # the points whose digits at i and j are equal, in the index order
+    # of the shape without position i. All lazily, from ranges.
+    total = math.prod(sizes)
+    strides = [math.prod(sizes[:k]) for k in range(len(sizes) + 1)]
+
+    def runs(first: int, last: int, block: int) -> Iterator[int]:
+        return itertools.chain.from_iterable(range(b + first, b + last)
+                                             for b in range(0, total, block))
+
+    def diagonal(i: int, j: int) -> Iterator[int]:
+        a, si, sj = sizes[i], strides[i], strides[j] // sizes[i]
+        return (r % si + (r // si * a + r // sj % a) * si for r in range(total // a))
+
+    return (((runs(0, b - s, b), runs(s, b, b)) for s, b in zip(strides, strides[1:])),
+            (diagonal(i, j) for i, j in itertools.combinations(range(len(sizes)), 2)))
+
+
+@functools.lru_cache(maxsize=16)
+def _kept_lane_plan(sizes: tuple[int, ...]) -> tuple[Iterable, Iterable]:
+    pairs, diagonals = _build_lane_plan(sizes)
+    return tuple((tuple(lo), tuple(hi)) for lo, hi in pairs), tuple(map(tuple, diagonals))
+
+
+def _lane_plan(sizes: tuple[int, ...]) -> tuple[Iterable, Iterable]:
+    # A lane plan holds about (n + 1)^2 indices per table entry: kept
+    # while that is at most KEPT_PLAN_ENTRIES, read from ranges beyond.
+    if (len(sizes) + 1) ** 2 * math.prod(sizes) <= KEPT_PLAN_ENTRIES:
+        return _kept_lane_plan(sizes)
+    return _build_lane_plan(sizes)
+
+
+def _lane_planes(columns: Sequence[int], pairs: Iterable, ones: int) -> list[int]:
+    # Per position, the integer whose byte lane f is 1 when the position
+    # is essential for table f: some neighbour pair differs there.
+    get = columns.__getitem__
+    planes = []
+    for lo, hi in pairs:
+        plane = functools.reduce(operator.or_, map(operator.xor, map(get, lo), map(get, hi)), 0)
+        for shift in (4, 2, 1):  # OR each lane's 8 bits into its lowest
+            plane |= plane >> shift
+        planes.append(plane & ones)
+    return planes
+
+
+def table_gap_codes(sizes: Sequence[int], tables: Sequence[bytes]) -> tuple[bytes, bytes]:
+    """Essential positions and arity gap of each of a chunk of tables of
+    one shape, in byte lanes.
+
+    Returns the masks, w = max(1, ceil(n / 8)) bytes per table: bytes
+    f*w to f*w+w-1, read little-endian, have bit k-1 set when position k
+    of table f is essential. And one gap code byte per table, as
+    boolean_gap_codes gives them: 0 below two essential positions (gap
+    undefined), 1, 2, or 3 for a gap of 3 or more.
+
+    A minor (i, j) is read on the diagonal points, where digits i and j
+    are equal, as a table of the shape without position i; both orders
+    of a pair give one minor up to renaming. Per pair, "lost one" and
+    "lost two" mark the lanes whose minor drops one, or two, essential
+    positions besides i.
+
+    Raises ValueError for a size that is not an int of at least 2, for
+    positions of more than one alphabet size and for a table of the
+    wrong length, and EnumerationBudgetError for tables of more than
+    DEFAULT_BUDGET entries.
+    """
+    sizes = tuple(sizes)
+    for a in sizes:
+        if not isinstance(a, int) or a < 2:
+            raise ValueError(f"alphabet sizes must be at least 2, got {a!r}")
+    if len(set(sizes)) > 1:
+        raise ValueError("positions must share one alphabet size")
+    total, count = math.prod(sizes), len(tables)
+    if total > DEFAULT_BUDGET:
+        raise EnumerationBudgetError(
+            f"tables of {total} entries exceed the budget of {DEFAULT_BUDGET}")
+    if any(len(table) != total for table in tables):
+        raise ValueError(f"every table must have {total} entries")
+    blob = b"".join(tables)
+    columns = [int.from_bytes(blob[p::total], "big") for p in range(total)]
+    ones = int.from_bytes(b"\x01" * count, "big")
+    pairs, diagonals = _lane_plan(sizes)
+    ess = _lane_planes(columns, pairs, ones)
+    seen = analysed = gap1 = at_most2 = 0
+    for plane in ess:
+        analysed |= seen & plane
+        seen |= plane
+    for (i, j), points in zip(itertools.combinations(range(len(sizes)), 2), diagonals):
+        both = ess[i] & ess[j]
+        if not both:
+            continue
+        minor = _lane_planes(list(map(columns.__getitem__, points)),
+                             _lane_plan(sizes[1:])[0], ones)
+        lost_one = lost_two = 0
+        for k, plane in enumerate(ess):
+            if k != i:
+                lost = plane & ~minor[k - (k > i)]
+                lost_two |= lost_one & lost
+                lost_one |= lost
+        gap1 |= both & ~lost_one
+        at_most2 |= both & ~lost_two
+    width = max(1, -(-len(sizes) // 8))
+    masks = bytearray(count * width)
+    for b in range(width):
+        masks[b::width] = sum(plane << k for k, plane in enumerate(ess[8 * b:8 * b + 8])
+                              ).to_bytes(count, "big")
+    codes = analysed + (analysed & ~gap1) + (analysed & ~at_most2)
+    return bytes(masks), codes.to_bytes(count, "big")
+
+
 def salomaa_function(k: int) -> FiniteFn:
     """The k-ary function on a k-letter alphabet that is 1 exactly at the
     point (0, 1, ..., k-1) and 0 elsewhere.
@@ -552,18 +661,9 @@ def enumerate_all_functions(n: int, a: int, b: int) -> Iterator[FiniteFn]:
             for tab in itertools.product(range(b), repeat=points))
 
 
-def format_finite_fn(f: FiniteFn) -> str:
-    """Text form: header 'arity a_size b_size', then values in point order."""
-    if f.arity == 0:
-        raise ValueError("the text format needs at least one position")
-    if len(set(f.sizes)) != 1:
-        raise ValueError("the text format needs one shared alphabet size")
-    header = f"{f.arity} {f.sizes[0]} {f.codomain}"
-    return header + "\n" + " ".join(str(v) for v in f.table) + "\n"
-
-
 def parse_finite_fn(text: str) -> FiniteFn:
-    """Inverse of format_finite_fn; '#' comments and blank lines allowed."""
+    """A FiniteFn from its text form: a header 'arity a_size b_size', then
+    the values in point order; '#' comments and blank lines allowed."""
     tokens: list[str] = []
     for raw in text.splitlines():
         tokens.extend(raw.split("#", 1)[0].split())

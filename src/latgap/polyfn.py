@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from .finfun import DEFAULT_BUDGET, MAX_CODOMAIN, EnumerationBudgetError, FiniteFn
 from .lattice import Elem, Lattice
@@ -120,14 +120,6 @@ def _proven_polyfn(lattice: Lattice, arity: int, table: tuple[int, ...]) -> Poly
     return f
 
 
-def characteristic_vector(mask: int, arity: int, lattice: Lattice) -> tuple[Elem, ...]:
-    """The 0/1 point e_I: top on the positions in `mask`, bottom elsewhere."""
-    if not 0 <= mask < (1 << arity):
-        raise ValueError(f"subset mask {mask:#x} out of range for arity {arity}")
-    bot, top = lattice.bottom, lattice.top
-    return tuple(top if (mask >> k) & 1 else bot for k in range(arity))
-
-
 def canonicalize(term: "Term") -> PolyFn:
     """Coefficient table of a term: evaluate it at every 0/1 point.
 
@@ -143,68 +135,6 @@ def canonicalize(term: "Term") -> PolyFn:
         point = tuple(top if (mask >> k) & 1 else bot for k in range(n))
         vals.append(term.eval_indices(point))
     return PolyFn(lat, n, tuple(vals))
-
-
-def from_monotone_table(table, arity: int, lattice: Lattice) -> PolyFn:
-    """Build a PolyFn from a 0/1-point value table.
-
-    `table` is either a mapping from subset mask to value or a sequence
-    in mask order; values may be elements of `lattice` or raw indices.
-    Raises MonotonicityError (with a witness pair) if the table does not
-    extend to a polynomial function.
-    """
-    size = 1 << arity
-    if isinstance(table, Mapping):
-        missing = [m for m in range(size) if m not in table]
-        if missing:
-            raise ValueError(f"table is missing subset {_mask_str(missing[0])}")
-        if len(table) != size:
-            extra = next(k for k in table if not (isinstance(k, int) and 0 <= k < size))
-            raise ValueError(f"table has an unexpected key {extra!r}")
-        seq = [table[m] for m in range(size)]
-    else:
-        seq = list(table)
-        if len(seq) != size:
-            raise ValueError(f"table has {len(seq)} entries, expected {size}")
-    vals = []
-    for v in seq:
-        if isinstance(v, Elem):
-            vals.append(lattice.require_member(v))
-        elif isinstance(v, int) and 0 <= v < lattice.size:
-            vals.append(v)
-        else:
-            raise ValueError(f"bad table value {v!r}")
-    return PolyFn(lattice, arity, tuple(vals))
-
-
-def eval_dnf(f: PolyFn, point: Sequence[Elem]) -> Elem:
-    """Evaluate f at a point of L^n through its coefficient table."""
-    lat = f.lattice
-    if len(point) != f.arity:
-        raise ValueError(f"point has {len(point)} components, arity is {f.arity}")
-    idx = tuple(lat.require_member(x) for x in point)
-    return lat.elements[_eval_indices(f, idx)]
-
-
-def _eval_indices(f: PolyFn, point: Sequence[int]) -> int:
-    lat = f.lattice
-    meet_t, join_t = lat._meet, lat._join
-    bottom, top = lat.bottom_index, lat.top_index
-    table = f.table
-    acc = table[0]
-    for mask in range(1, len(table)):
-        if acc == top:
-            break
-        v = table[mask]
-        if v == bottom:
-            continue
-        mm = mask
-        while mm and v != bottom:
-            bit = mm & -mm
-            mm ^= bit
-            v = meet_t[v][point[bit.bit_length() - 1]]
-        acc = join_t[acc][v]
-    return acc
 
 
 def _check_table_budget(lattice: Lattice, arity: int) -> None:
@@ -253,8 +183,8 @@ def value_table(f: PolyFn) -> FiniteFn:
     1 the fastest, the little-endian point order. Each pass moves one
     variable from the coefficient side to the point side; since meet
     distributes over join, the variables do not interact and the pass
-    order does not change the result. Agrees with eval_dnf at every
-    point. The last pass reads exactly the tables of the two (n-1)-ary
+    order does not change the result. Agrees at every point with the
+    DNF that the coefficient table spells out. The last pass reads exactly the tables of the two (n-1)-ary
     coefficient halves, which value_tables builds on.
 
     For |L| = k <= 16 a block is broadword: A and B, read as big-endian
@@ -450,17 +380,6 @@ def reduce_to_essential(f: PolyFn) -> tuple[PolyFn, tuple[int, ...]]:
                 mask |= 1 << (p - 1)
         new.append(table[mask])
     return PolyFn(f.lattice, k, tuple(new)), positions
-
-
-def restrict_to_01(f: PolyFn) -> FiniteFn:
-    """f restricted to the 0/1 points, as a FiniteFn over {0,1}^n.
-
-    The little-endian point index equals the subset mask, so the value
-    table is the coefficient table itself; the codomain is the whole
-    element set of the lattice.
-    """
-    return FiniteFn(sizes=(2,) * f.arity, codomain=f.lattice.size,
-                    table=bytes(f.table))
 
 
 def equivalent(f: PolyFn, g: PolyFn) -> bool:

@@ -19,31 +19,42 @@ the counterexample comes from the per-function pair; only when that
 replay sides with the classifier does it also name the batch answer
 (`batch_gap`, `batch_essential`).
 
-The gap-theorem sweep hands the oracle each map's full value table from
+The gap-theorem sweep takes each map's full value table from
 `polyfn.value_tables`, which builds each distinct coefficient half once,
 in a bounded dict that lives for one sweep, and each map's table in one
-pass over its two halves. So no state outlives a sweep. Each check runs
-once, where its data is made: value_tables proves each map monotone from
-its halves and checks its table's length and values, so the oracle's
-private searches read those bytes, and the 0/1-point restriction (the
-coefficient table itself) as bytes, with no FiniteFn per map.
+pass over its two halves, proving it monotone and checking its bytes.
+It hands chunks of up to CHUNK_MAPS tables to the byte-lane oracle
+`table_gap_codes`, once on the value tables and once on the 0/1-point
+restrictions (the coefficient tables themselves), and replays a map the
+batch answers disagree on through `_gap_search` and `_ess_scan`, as the
+Boolean sweep replays one. No state outlives a sweep.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .classify import (classify_boolean_gap, classify_polynomial_gap,
                        classify_pseudo_boolean_gap)
 from .finfun import (FiniteFn, GapReport, _ess_scan, _gap_search, boolean_gap_codes,
-                     enumerate_all_functions, enumerate_monotone_maps, gap_bruteforce)
+                     enumerate_all_functions, enumerate_monotone_maps, gap_bruteforce,
+                     table_gap_codes)
 from .lattice import Lattice
 from .polyfn import PolyFn, value_tables
 
 Outcome = tuple[int | None, dict | None]
+
+# A gap-theorem chunk of m maps holds their value tables twice, listed
+# and joined, and an int of m bytes per table entry: about (3m + 40)
+# bytes per entry, which CHUNK_BYTES bounds. Smaller chunks run slower.
+# A chunk of one map holds cached small ints, about 10 bytes per entry.
+CHUNK_MAPS = 256
+CHUNK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -160,27 +171,44 @@ def sweep_pseudo_boolean(arity: int, codomain: int) -> SweepReport:
 
 
 def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
-    """classify_polynomial_gap against gap_bruteforce on every monotone
-    coefficient table over `lattice` (shown as `name`). On every table,
-    skipped or not, the coefficient, full-domain and 0/1-point
-    essentiality criteria must also agree. The value tables come from
-    polyfn.value_tables, one pass per map over memoised half tables,
-    as checked bytes that the oracle's search reads as they are; the
-    0/1-point restriction is the coefficient table itself."""
+    """classify_polynomial_gap against the byte-lane oracle on every
+    monotone coefficient table over `lattice` (shown as `name`). On every
+    table, skipped or not, the coefficient, full-domain and 0/1-point
+    essentiality criteria must also agree; a disagreement is replayed
+    through _gap_search and _ess_scan, which give the counterexample."""
     sizes, binary = (lattice.size,) * arity, (2,) * arity
+    maps = value_tables(lattice, arity, enumerate_monotone_maps(arity, lattice))
+    per_chunk = max(1, min(CHUNK_MAPS, (CHUNK_BYTES // lattice.size ** arity - 40) // 3))
 
-    def check(item: tuple[PolyFn, bytes]) -> Outcome:
-        f, table = item
+    @functools.lru_cache(maxsize=65536)  # every mask up to MAX_ARITY = 16
+    def essential(mask: bytes) -> tuple[int, ...]:
+        # The positions a batch mask marks, sorted as a verdict lists them.
+        bits = int.from_bytes(mask, "little")
+        return tuple(k for k in range(1, arity + 1) if (bits >> (k - 1)) & 1)
+
+    def chunks() -> Iterator[tuple[tuple[PolyFn, bytes], bytes, int, bytes]]:
+        while batch := list(itertools.islice(maps, per_chunk)):
+            masks, codes = table_gap_codes(sizes, [table for _, table in batch])
+            restricted, _ = table_gap_codes(binary, [bytes(f.table) for f, _ in batch])
+            width = len(masks) // len(batch)
+            for k, item in enumerate(batch):
+                lanes = slice(k * width, (k + 1) * width)
+                yield item, masks[lanes], codes[k], restricted[lanes]
+
+    def check(item: tuple[tuple[PolyFn, bytes], bytes, int, bytes]) -> Outcome:
+        (f, table), mask, code, restricted = item
         verdict = classify_polynomial_gap(f)
-        report = _gap_search(sizes, table)
-        ess01 = _ess_scan(binary, bytes(f.table))
+        gap = _CODE_GAPS[code]
+        if (verdict.gap == gap and gap != 3 and verdict.essential == essential(mask)
+                and restricted == mask):
+            return gap, None
+        report, ess01 = _gap_search(sizes, table), _ess_scan(binary, bytes(f.table))
+        found = {"coefficients": [nm for _, nm in f.dump()],
+                 **_both_answers(verdict, report), "restricted_essential": sorted(ess01)}
         if _agree(verdict, report) and ess01 == report.essential:
-            return report.gap, None
-        return report.gap, {"coefficients": [nm for _, nm in f.dump()],
-                            **_both_answers(verdict, report),
-                            "restricted_essential": sorted(ess01)}
+            found.update(batch_gap=gap, batch_essential=list(essential(mask)),
+                         batch_restricted_essential=list(essential(restricted)))
+        return report.gap, found
 
     return _sweep("gap-theorem", {"lattice": name, "size": lattice.size, "arity": arity},
-                  "monotone_maps",
-                  value_tables(lattice, arity, enumerate_monotone_maps(arity, lattice)),
-                  check)
+                  "monotone_maps", chunks(), check)

@@ -205,20 +205,6 @@ def parse_expr(text: str, arity: int, lattice: Lattice) -> Term:
     return Term(node, arity, lattice)
 
 
-def eval_term(term: Term, point: Sequence[Elem]) -> Elem:
-    """Evaluate a term at a point of the lattice.
-
-    The point must have exactly `term.arity` components, all elements of
-    the term's lattice. Evaluation is monotone in every component by
-    construction (only meets and joins occur).
-    """
-    lat = term.lattice
-    if len(point) != term.arity:
-        raise ValueError(f"point has {len(point)} components, term arity is {term.arity}")
-    idx = tuple(lat.require_member(x) for x in point)
-    return lat.elements[term.eval_indices(idx)]
-
-
 def format_dnf(f: "PolyFn") -> str:
     """Render a PolyFn as a minimal join-of-meets expression.
 

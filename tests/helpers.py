@@ -6,8 +6,10 @@ import functools
 import itertools
 import math
 import random
+from collections.abc import Mapping, Sequence
 
-from latgap import Lattice, point_index
+from latgap import Elem, FiniteFn, Lattice, PolyFn, point_index
+from latgap.polyfn import _mask_str
 from latgap.terms import Const, Join, Meet, Term, Var
 
 M3_NAMES = ("0", "x", "y", "z", "1")
@@ -16,6 +18,138 @@ M3_COVERS = (("0", "x"), ("0", "y"), ("0", "z"),
 
 N5_NAMES = ("0", "p", "q", "r", "1")
 N5_COVERS = (("0", "p"), ("p", "1"), ("0", "q"), ("q", "r"), ("r", "1"))
+
+
+def point_at(sizes: tuple[int, ...], index: int) -> tuple[int, ...]:
+    """The digits of table index `index` of a shape, position 1 first:
+    the inverse of point_index."""
+    point = []
+    for size in sizes:
+        point.append(index % size)
+        index //= size
+    return tuple(point)
+
+
+def characteristic_vector(mask: int, arity: int, lattice: Lattice) -> tuple[Elem, ...]:
+    """The 0/1 point e_I: top on the positions in `mask`, bottom elsewhere."""
+    if not 0 <= mask < (1 << arity):
+        raise ValueError(f"subset mask {mask:#x} out of range for arity {arity}")
+    bot, top = lattice.bottom, lattice.top
+    return tuple(top if (mask >> k) & 1 else bot for k in range(arity))
+
+
+# Construction, evaluation and formatting that only the tests use.
+
+def from_monotone_table(table, arity: int, lattice: Lattice) -> PolyFn:
+    """Build a PolyFn from a 0/1-point value table.
+
+    `table` is either a mapping from subset mask to value or a sequence
+    in mask order; values may be elements of `lattice` or raw indices.
+    Raises MonotonicityError (with a witness pair) if the table does not
+    extend to a polynomial function.
+    """
+    size = 1 << arity
+    if isinstance(table, Mapping):
+        missing = [m for m in range(size) if m not in table]
+        if missing:
+            raise ValueError(f"table is missing subset {_mask_str(missing[0])}")
+        if len(table) != size:
+            extra = next(k for k in table if not (isinstance(k, int) and 0 <= k < size))
+            raise ValueError(f"table has an unexpected key {extra!r}")
+        seq = [table[m] for m in range(size)]
+    else:
+        seq = list(table)
+        if len(seq) != size:
+            raise ValueError(f"table has {len(seq)} entries, expected {size}")
+    vals = []
+    for v in seq:
+        if isinstance(v, Elem):
+            vals.append(lattice.require_member(v))
+        elif isinstance(v, int) and 0 <= v < lattice.size:
+            vals.append(v)
+        else:
+            raise ValueError(f"bad table value {v!r}")
+    return PolyFn(lattice, arity, tuple(vals))
+
+
+def restrict_to_01(f: PolyFn) -> FiniteFn:
+    """f restricted to the 0/1 points, as a FiniteFn over {0,1}^n.
+
+    The little-endian point index equals the subset mask, so the value
+    table is the coefficient table itself; the codomain is the whole
+    element set of the lattice.
+    """
+    return FiniteFn(sizes=(2,) * f.arity, codomain=f.lattice.size,
+                    table=bytes(f.table))
+
+
+def eval_dnf(f: PolyFn, point: Sequence[Elem]) -> Elem:
+    """Evaluate f at a point of L^n through its coefficient table."""
+    lat = f.lattice
+    if len(point) != f.arity:
+        raise ValueError(f"point has {len(point)} components, arity is {f.arity}")
+    idx = tuple(lat.require_member(x) for x in point)
+    return lat.elements[_eval_indices(f, idx)]
+
+
+def _eval_indices(f: PolyFn, point: Sequence[int]) -> int:
+    lat = f.lattice
+    meet_t, join_t = lat._meet, lat._join
+    bottom, top = lat.bottom_index, lat.top_index
+    table = f.table
+    acc = table[0]
+    for mask in range(1, len(table)):
+        if acc == top:
+            break
+        v = table[mask]
+        if v == bottom:
+            continue
+        mm = mask
+        while mm and v != bottom:
+            bit = mm & -mm
+            mm ^= bit
+            v = meet_t[v][point[bit.bit_length() - 1]]
+        acc = join_t[acc][v]
+    return acc
+
+
+def eval_term(term: Term, point: Sequence[Elem]) -> Elem:
+    """Evaluate a term at a point of the lattice.
+
+    The point must have exactly `term.arity` components, all elements of
+    the term's lattice. Evaluation is monotone in every component by
+    construction (only meets and joins occur).
+    """
+    lat = term.lattice
+    if len(point) != term.arity:
+        raise ValueError(f"point has {len(point)} components, term arity is {term.arity}")
+    idx = tuple(lat.require_member(x) for x in point)
+    return lat.elements[term.eval_indices(idx)]
+
+
+def format_finite_fn(f: FiniteFn) -> str:
+    """Text form: header 'arity a_size b_size', then values in point order."""
+    if f.arity == 0:
+        raise ValueError("the text format needs at least one position")
+    if len(set(f.sizes)) != 1:
+        raise ValueError("the text format needs one shared alphabet size")
+    header = f"{f.arity} {f.sizes[0]} {f.codomain}"
+    return header + "\n" + " ".join(str(v) for v in f.table) + "\n"
+
+
+def zhegalkin_evaluate(poly, point: Sequence[int]) -> int:
+    """A ZhegalkinPoly's value at a 0/1 point, position 1 first: the
+    parity of the monomials whose positions are all 1 there."""
+    mask = 0
+    for k, bit in enumerate(point):
+        if bit not in (0, 1):
+            raise ValueError(f"bad Boolean digit {bit!r}")
+        mask |= bit << k
+    acc = 0
+    for m in poly.monomials:
+        if m & ~mask == 0:
+            acc ^= 1
+    return acc
 
 
 def random_term(rng: random.Random, arity: int, max_depth: int,

@@ -17,11 +17,11 @@ from functools import lru_cache
 import pytest
 
 from latgap import (EnumerationBudgetError, PolyFn, builtin_lattice, canonicalize, chain,
-                    enumerate_monotone_maps, eval_dnf, eval_term, gap_bruteforce,
+                    enumerate_monotone_maps, gap_bruteforce,
                     product, salomaa_function, value_table)
-from latgap.finfun import _gap_search
+from latgap.finfun import table_gap_codes
 from latgap.sweep import sweep_boolean, sweep_gap_theorem, sweep_pseudo_boolean
-from helpers import random_term
+from helpers import eval_dnf, eval_term, random_term
 
 LATTICES = ("chain2", "chain3", "chain4", "2x2", "2x3")
 
@@ -249,13 +249,30 @@ def test_criterion_8_monotone_enumerator_counts():
           "over the 2-chain")
 
 
-def _sweep_tables(monkeypatch, name: str, arity: int):
-    """The report and the (sizes, table) pairs the oracle's gap search
-    read, one per map."""
+def _capture_lanes(monkeypatch, tables: list) -> list:
+    """Make the sweep's table_gap_codes append the (sizes, table) pairs
+    of the value tables it reads to `tables`; returns the list of chunk
+    sizes. Per chunk the sweep calls it twice: on the value tables, then
+    on the 0/1 restrictions."""
     import latgap.sweep as sweep
+    chunks = []
+    calls = itertools.count()
+
+    def lanes(sizes, batch):
+        if next(calls) % 2 == 0:
+            chunks.append(len(batch))
+            tables.extend((sizes, table) for table in batch)
+        return table_gap_codes(sizes, batch)
+
+    monkeypatch.setattr(sweep, "table_gap_codes", lanes)
+    return chunks
+
+
+def _sweep_tables(monkeypatch, name: str, arity: int):
+    """The report and the (sizes, table) pairs the byte-lane oracle
+    read, one per map."""
     tables = []
-    monkeypatch.setattr(sweep, "_gap_search", lambda sizes, table: tables.append(
-        (sizes, table)) or _gap_search(sizes, table))
+    _capture_lanes(monkeypatch, tables)
     report = sweep_gap_theorem(name, builtin_lattice(name), arity)
     monkeypatch.undo()
     return report, tables
@@ -278,20 +295,70 @@ def test_gap_theorem_sweep_halves_are_bounded(monkeypatch):
     # With room for a few halves only, the dict empties itself over and
     # over, and the tables and counts stay the same.
     import latgap.polyfn as polyfn
-    import latgap.sweep as sweep
     full, tables = _sweep_tables(monkeypatch, "chain3", 4)
     built = []
     monkeypatch.setattr(polyfn, "DEFAULT_BUDGET", 3 * (27 + 8 * 8))
     monkeypatch.setattr(polyfn, "value_table", lambda f: built.append(f) or value_table(f))
     bounded_tables = []
-    monkeypatch.setattr(sweep, "_gap_search", lambda sizes, table: bounded_tables.append(
-        (sizes, table)) or _gap_search(sizes, table))
+    _capture_lanes(monkeypatch, bounded_tables)
     bounded = sweep_gap_theorem("chain3", builtin_lattice("chain3"), 4)
     assert bounded.to_json() == full.to_json()
     assert len(tables) == full.scanned == 7581
     assert bounded_tables == tables
     # 168 distinct halves, many built more than once.
     assert len({f.table for f in built}) == 168 < len(built)
+
+
+def test_gap_theorem_sweep_chunks_do_not_change_reports(monkeypatch):
+    # 2x2/3 has 64-entry tables: a byte budget of 61 * 64 makes chunks
+    # of (61 - 40) // 3 = 7 maps, and one of 64 chunks of one map.
+    # The reports match the default chunks of 256, with the right
+    # classifier and with one that calls every gap 1, which the first
+    # truncated median, map 45, contradicts.
+    import latgap.sweep as sweep
+    from latgap.classify import Gap1, classify_polynomial_gap
+
+    def gap_one(f):
+        verdict = classify_polynomial_gap(f)
+        return verdict if verdict.gap is None else Gap1(verdict.essential)
+
+    for classifier, scanned in ((classify_polynomial_gap, 400), (gap_one, 45)):
+        reports = []
+        for budget, size in ((sweep.CHUNK_BYTES, 256), (61 * 64, 7), (64, 1)):
+            monkeypatch.setattr(sweep, "CHUNK_BYTES", budget)
+            monkeypatch.setattr(sweep, "classify_polynomial_gap", classifier)
+            tables = []
+            chunks = _capture_lanes(monkeypatch, tables)
+            reports.append(sweep_gap_theorem("2x2", builtin_lattice("2x2"), 3).to_json())
+            monkeypatch.undo()
+            # Every chunk is full but the last, and the sweep reads at
+            # most the rest of the chunk that holds the map it stops at.
+            assert set(chunks[:-1]) <= {size} and 0 < chunks[-1] <= size
+            assert scanned <= len(tables) < scanned + size
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0]["monotone_maps"] == scanned
+        assert reports[0]["ok"] is (classifier is classify_polynomial_gap)
+
+
+def test_gap_theorem_sweep_reads_two_byte_masks(monkeypatch):
+    # At arity 9 a batch mask takes two bytes. Of the first 300 maps of
+    # chain2/9, 245 have all 9 positions essential; the first 299 agree
+    # through the lanes, and a classifier that drops a position from map
+    # 300 on stops the sweep there.
+    import latgap.sweep as sweep
+    from latgap.classify import Gap1, classify_polynomial_gap
+    drawn = itertools.count(1)
+
+    def wrong_from_300(f):
+        verdict = classify_polynomial_gap(f)
+        return verdict if next(drawn) < 300 else Gap1(verdict.essential[:-1])
+
+    monkeypatch.setattr(sweep, "classify_polynomial_gap", wrong_from_300)
+    report = sweep_gap_theorem("chain2", builtin_lattice("chain2"), 9)
+    assert (report.scanned, report.analyzed, report.gap_counts) == (300, 299, {1: 298, 2: 0})
+    found = report.counterexample
+    assert found["oracle_essential"] == found["restricted_essential"] == list(range(1, 10))
+    assert (found["essential"], "batch_gap" in found) == (list(range(1, 9)), False)
 
 
 def test_gap_theorem_sweep_checks_the_full_table_budget(monkeypatch):
@@ -315,14 +382,15 @@ def test_gap_theorem_sweep_checks_the_full_table_budget(monkeypatch):
 def test_gap_theorem_sweep_keeps_no_state_between_runs(monkeypatch):
     # Two sweeps in one process do the same work: the memoised halves
     # die with each sweep.
-    import latgap.finfun as finfun
     import latgap.polyfn as polyfn
+    import latgap.sweep as sweep
     runs = []
     for _ in range(2):
-        calls = {"value_table": 0, "_essential": 0}
-        for module, name, real in ((polyfn, "value_table", value_table),
-                                   (finfun, "_essential", finfun._essential)):
-            def counted(*args, _name=name, _real=real, _calls=calls):
+        calls = {"value_table": 0, "table_gap_codes": 0, "_gap_search": 0, "_ess_scan": 0}
+        for name in calls:
+            module = polyfn if name == "value_table" else sweep
+
+            def counted(*args, _name=name, _real=getattr(module, name), _calls=calls):
                 _calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(module, name, counted)
@@ -331,6 +399,8 @@ def test_gap_theorem_sweep_keeps_no_state_between_runs(monkeypatch):
         runs.append((report.to_json(), calls))
     assert runs[0] == runs[1]
     # One value_table per distinct half: the 36 monotone maps of arity 2.
-    assert runs[0][1]["value_table"] == 36
-    # One scan per table, per 0/1 restriction and per minor.
-    assert runs[0][1]["_essential"] == 1330
+    # The 400 maps make two chunks, of 256 and 144, each with one lane
+    # call on the value tables and one on the 0/1 restrictions; no map
+    # disagrees, so none is searched on its own.
+    assert runs[0][1] == {"value_table": 36, "table_gap_codes": 4,
+                          "_gap_search": 0, "_ess_scan": 0}

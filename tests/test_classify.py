@@ -17,8 +17,8 @@ from latgap import (FOURTH_FORM, MEDIAN_FORM, MIXED_FORM, SUM_FORM,
                     enumerate_all_functions, ess_bruteforce, gap_bruteforce,
                     parse_expr, simple_substitution, value_table,
                     zhegalkin_from_table)
-from helpers import monotone_tables_by_filter, reduce_by_points
-from latgap.polyfn import from_monotone_table
+from helpers import (from_monotone_table, monotone_tables_by_filter, reduce_by_points,
+                     zhegalkin_evaluate)
 from latgap.sweep import sweep_boolean, sweep_pseudo_boolean
 
 MEDIAN = "(x1 & x2) | (x2 & x3) | (x3 & x1)"
@@ -39,7 +39,7 @@ def assert_undefined(verdict, essential):
 
 
 def anf_table(poly: ZhegalkinPoly) -> FiniteFn:
-    vals = tuple(poly.evaluate([(idx >> k) & 1 for k in range(poly.arity)])
+    vals = tuple(zhegalkin_evaluate(poly, [(idx >> k) & 1 for k in range(poly.arity)])
                  for idx in range(1 << poly.arity))
     return FiniteFn((2,) * poly.arity, 2, vals)
 
@@ -69,7 +69,7 @@ def test_zhegalkin_validation():
     with pytest.raises(ValueError, match="Boolean"):
         zhegalkin_from_table(FiniteFn((3,), 2, (0, 1, 0)))
     with pytest.raises(ValueError, match="digit"):
-        ZhegalkinPoly(1, frozenset({1})).evaluate([2])
+        zhegalkin_evaluate(ZhegalkinPoly(1, frozenset({1})), [2])
 
 
 def test_classify_parity_is_sum_form():

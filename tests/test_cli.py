@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +15,7 @@ from latgap import (GapReport, LatticeError, builtin_lattice, chain, ess_brutefo
 from latgap.classify import (Gap1, GapUndefined, classify_boolean_gap,
                              classify_polynomial_gap)
 from latgap.cli import load_lattice, main
-from latgap.finfun import _ess_scan, _gap_search
+from latgap.finfun import _gap_search
 from helpers import M3_COVERS, M3_NAMES, monotone_tables_by_filter
 
 MEDIAN = "(x1 & x2) | (x2 & x3) | (x3 & x1)"
@@ -436,20 +437,51 @@ def test_gap_theorem_sweep_rejects_a_gap_of_three(capsys, monkeypatch):
 
 
 def test_gap_theorem_sweep_checks_the_restriction(capsys, monkeypatch):
-    # Classifier and oracle agree; only the 0/1-point restriction is off.
+    # Classifier and oracle agree; only the batch 0/1-point restriction
+    # is off, so the replay sides with the classifier and the
+    # counterexample blames the batch answers.
     import latgap.sweep as sweep
+    real = sweep.table_gap_codes
 
-    def drop_last(sizes, table):
-        essential = _ess_scan(sizes, table)
-        return essential - {max(essential)} if essential else essential
+    def drop_last(sizes, tables):
+        # On the 0/1 restrictions of chain3 maps, clears the highest
+        # essential position of each one-byte mask.
+        masks, codes = real(sizes, tables)
+        if sizes[0] == 2:
+            masks = bytes(mask & ~(1 << mask.bit_length() - 1) if mask else 0
+                          for mask in masks)
+        return masks, codes
 
-    monkeypatch.setattr(sweep, "_ess_scan", drop_last)
+    monkeypatch.setattr(sweep, "table_gap_codes", drop_last)
     rc, payload, _ = run_json(capsys, GAP_THEOREM)
     assert (rc, payload["ok"], payload["monotone_maps"]) == (2, False, 2)
     assert payload["counterexample"] == {
         "coefficients": ["0"] * 7 + ["a"], "classifier_gap": 1, "oracle_gap": 1,
         "essential": [1, 2, 3], "oracle_essential": [1, 2, 3],
-        "restricted_essential": [1, 2]}
+        "restricted_essential": [1, 2, 3], "batch_gap": 1,
+        "batch_essential": [1, 2, 3], "batch_restricted_essential": [1, 2]}
+
+
+def test_gap_theorem_sweep_names_a_wrong_batch_oracle(capsys, monkeypatch):
+    # The classifier and _gap_search agree on the first truncated
+    # median, so the counterexample blames the byte-lane answers.
+    import latgap.sweep as sweep
+    real = sweep.table_gap_codes
+
+    def two_as_one(sizes, tables):
+        masks, codes = real(sizes, tables)
+        return masks, codes.replace(b"\x02", b"\x01")
+
+    monkeypatch.setattr(sweep, "table_gap_codes", two_as_one)
+    rc, payload, _ = run_json(capsys, GAP_THEOREM)
+    assert (rc, payload["ok"], payload["monotone_maps"]) == (2, False, 28)
+    assert payload["counterexample"] == {
+        "coefficients": MEDIAN_COEFFICIENTS, "classifier_gap": 2, "oracle_gap": 2,
+        "essential": [1, 2, 3], "oracle_essential": [1, 2, 3],
+        "restricted_essential": [1, 2, 3], "batch_gap": 1,
+        "batch_essential": [1, 2, 3], "batch_restricted_essential": [1, 2, 3]}
+    rc, out, _ = run(capsys, GAP_THEOREM)
+    assert rc == 2 and '"batch_gap": 1' in out and out.endswith("result: DISAGREEMENT\n")
 
 
 def test_boolean_sweep_names_a_wrong_batch_oracle(capsys, monkeypatch):
@@ -515,6 +547,36 @@ def test_module_entry_point():
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["agreement"] is True
+
+
+# The standard modules that latgap's sources import by name.
+STDLIB_IMPORTS = ("__future__", "argparse", "collections", "dataclasses", "functools",
+                  "itertools", "json", "math", "pathlib", "re", "string", "sys", "time",
+                  "types", "typing")
+IMPORT_PROBE = """\
+import json, sys
+for name in sys.argv[2:]:
+    __import__(name)
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import latgap.cli
+import latgap.finfun as finfun
+new = sorted(m for m in set(sys.modules) - before if m.partition(".")[0] != "latgap")
+kept = [cache.cache_info().currsize
+        for cache in (finfun._kept_lane_plan, finfun._kept_plan, finfun._kept_diagonal)]
+print(json.dumps([new, kept]))
+"""
+
+
+def test_importing_the_cli_builds_and_imports_nothing_new():
+    # Startup stays as cheap as it was: in a fresh isolated interpreter,
+    # importing latgap.cli after the standard modules latgap names
+    # loads only latgap's own modules and leaves every plan cache empty.
+    import latgap
+    src = str(Path(latgap.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-I", "-c", IMPORT_PROBE, src, *STDLIB_IMPORTS],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(proc.stdout) == [[], [0, 0, 0]]
 
 
 def test_module_entry_point_error_status():

@@ -12,10 +12,12 @@ import pytest
 import latgap.finfun
 from latgap import (EnumerationBudgetError, FiniteFn, boolean_gap_codes,
                     builtin_lattice, chain, enumerate_all_functions, enumerate_monotone_maps,
-                    ess_bruteforce, format_finite_fn, gap_bruteforce,
-                    identify_table, parse_finite_fn, point_at, salomaa_function)
+                    ess_bruteforce, gap_bruteforce,
+                    identify_table, parse_finite_fn, salomaa_function, table_gap_codes)
+from latgap.polyfn import value_tables
 from helpers import (essential_by_points, gap_by_points, identify_by_points,
-                     monotone_maps_recursive, monotone_tables_by_filter)
+                     format_finite_fn, monotone_maps_recursive,
+                     monotone_tables_by_filter, point_at)
 
 XOR = FiniteFn((2, 2), 2, (0, 1, 1, 0))
 AND = FiniteFn((2, 2), 2, (0, 0, 0, 1))
@@ -306,6 +308,83 @@ def test_boolean_gap_codes_budget(monkeypatch):
         boolean_gap_codes(2)
 
 
+def assert_lanes_match_oracle(sizes: tuple[int, ...], tables: list[bytes]) -> None:
+    # table_gap_codes against gap_bruteforce, table by table.
+    masks, codes = table_gap_codes(sizes, tables)
+    width = max(1, -(-len(sizes) // 8))
+    assert (len(masks), len(codes)) == (width * len(tables), len(tables))
+    for f, table in enumerate(tables):
+        report = gap_bruteforce(FiniteFn(sizes, 256, table))
+        mask = int.from_bytes(masks[f * width:(f + 1) * width], "little")
+        assert mask == sum(1 << (k - 1) for k in report.essential), (sizes, table)
+        assert codes[f] == (0 if report.gap is None else min(report.gap, 3)), (sizes, table)
+
+
+def test_table_gap_codes_match_the_oracle_on_monotone_maps():
+    # Every map of the shapes the gap-theorem sweep runs, in its chunks.
+    for name, arity in (("2x2", 3), ("2x3", 3), ("chain3", 4), ("2x2", 4)):
+        lat = builtin_lattice(name)
+        tables = [table for _, table in
+                  value_tables(lat, arity, enumerate_monotone_maps(arity, lat))]
+        for start in range(0, len(tables), 256):
+            assert_lanes_match_oracle((lat.size,) * arity, tables[start:start + 256])
+
+
+def test_table_gap_codes_match_the_oracle_on_seeded_tables():
+    # Tables that are not monotone, over alphabets of 2 to 5 letters and
+    # arities 0 to 4, each depending on a random set of positions with a
+    # random density of changes, in chunks of 1 to 40 tables; and a
+    # 9-ary shape, whose masks take two bytes each.
+    rng = random.Random(2107)
+    for a, n in itertools.product(range(2, 6), range(5)):
+        sizes = (a,) * n
+        for _ in range(3):
+            tables = []
+            for _ in range(rng.randrange(1, 41)):
+                used = [k for k in range(n) if rng.random() < 0.7]
+                codomain, density = rng.choice((2, 3, 256)), rng.random()
+                values = {}
+                table = []
+                for idx in range(a ** n):
+                    point = point_at(sizes, idx)
+                    key = tuple(point[k] for k in used)
+                    if key not in values:
+                        values[key] = (rng.randrange(codomain) if rng.random() < density
+                                       else 0)
+                    table.append(values[key])
+                tables.append(bytes(table))
+            assert_lanes_match_oracle(sizes, tables)
+    parity = bytes((p ^ p >> 8) & 1 for p in range(1 << 9))
+    assert_lanes_match_oracle((2,) * 9, [parity, bytes(1 << 9), bytes(range(256)) * 2])
+    assert table_gap_codes((2,) * 9, [parity]) == (bytes([1, 1]), bytes([2]))
+
+
+def test_table_gap_codes_on_all_distinct_arguments():
+    # For |A| >= n, the function that is 1 exactly when its n arguments
+    # are pairwise distinct turns constant under every identification,
+    # so its gap is n: code 3 from n = 3 on.
+    for a, n in ((2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (5, 3), (5, 5)):
+        table = bytes(len(set(p)) == n for p in itertools.product(range(a), repeat=n))
+        report = gap_bruteforce(FiniteFn((a,) * n, 2, table))
+        assert (report.ess, report.gap) == (n, n)
+        assert table_gap_codes((a,) * n, [table]) == (bytes([(1 << n) - 1]),
+                                                       bytes([min(n, 3)]))
+
+
+def test_table_gap_codes_errors(monkeypatch):
+    assert table_gap_codes((3, 3), []) == (b"", b"")
+    assert table_gap_codes((), [b"\x07", b"\x00"]) == (bytes(2), bytes(2))
+    with pytest.raises(ValueError, match="share one alphabet size"):
+        table_gap_codes((2, 3), [bytes(6)])
+    with pytest.raises(ValueError, match="at least 2"):
+        table_gap_codes((2, 1), [bytes(2)])
+    with pytest.raises(ValueError, match="every table must have 4 entries"):
+        table_gap_codes((2, 2), [bytes(4), bytes(3)])
+    monkeypatch.setattr(latgap.finfun, "DEFAULT_BUDGET", 15)
+    with pytest.raises(EnumerationBudgetError, match="tables of 16 entries exceed"):
+        table_gap_codes((2,) * 4, [])
+
+
 def test_text_format_round_trip():
     text = format_finite_fn(XOR)
     assert text == "2 2 2\n0 1 1 0\n"
@@ -424,33 +503,48 @@ def test_plans_are_kept_for_small_tables_only():
     identify_table(FiniteFn((3,) * 3, 3, bytes(p % 3 for p in range(27))), 1, 2)
     assert kept.cache_info().currsize == 2
     assert diagonals.cache_info().currsize == 1
+    # A lane plan holds about (n + 1)^2 indices per entry, and is kept
+    # by that count: (2,)^12 and its minors' (2,)^11 are built afresh,
+    # (4,)^4 and (4,)^3 are kept.
+    lanes = latgap.finfun._kept_lane_plan
+    lanes.cache_clear()
+    parity = bytes(bin(p).count("1") & 1 for p in range(1 << 12))
+    assert table_gap_codes((2,) * 12, [parity]) == (bytes([255, 15]), bytes([2]))
+    assert lanes.cache_info().currsize == 0
+    table_gap_codes((4,) * 4, [bytes(range(256))])
+    assert lanes.cache_info().currsize == 2
 
 
 def test_gap_search_memory_on_a_large_table():
-    # Above KEPT_PLAN_ENTRIES a search builds its plan afresh: n masks,
-    # each as long as the table, plus the table as an integer, one
-    # diagonal and the minor's intermediates. Two 2^18-entry Boolean
-    # tables: a seeded one where every position is essential and the
-    # first minor ends the search, and the parity of positions 2..5,
-    # where all 12 minors are built on the smallest strides. Each
-    # peaks at about 24.5 table lengths; (n + 8) lengths bound them,
-    # a margin of 1.5 lengths. Nothing table-sized outlives the call:
-    # neither plan nor diagonal is kept at this size.
+    # Above KEPT_PLAN_ENTRIES a search reads its plan as it goes, one
+    # not-last mask at a time, each as long as the table, beside the
+    # table as an integer, one diagonal and the minor's intermediates.
+    # Two 2^18-entry Boolean tables: a seeded one where every position
+    # is essential and the first minor ends the search, and the parity
+    # of positions 2..5, where all 12 minors are built on the smallest
+    # strides. A search peaks at about 6.4 table lengths and a scan at
+    # 5.3, where building all n masks at once took 24.5; 7 and 6 lengths
+    # bound them. Nothing table-sized outlives the call: neither plan
+    # nor diagonal is kept at this size.
     n = 18
     rng = random.Random(218)
     seeded = bytes(rng.getrandbits(1) for _ in range(1 << n))
     parity = bytes((p >> 1 ^ p >> 2 ^ p >> 3 ^ p >> 4) & 1 for p in range(1 << n))
     for table, ess, gap in ((seeded, n, 1), (parity, 4, 2)):
         f = FiniteFn((2,) * n, 2, table)
-        tracemalloc.start()
-        try:
-            report = gap_bruteforce(f)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        found = {}
+        for search, bound in ((gap_bruteforce, 7), (ess_bruteforce, 6)):
+            tracemalloc.start()
+            try:
+                found[search] = search(f)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * len(table), (search, peak / len(table))
+            assert current < len(table) // 16, current
+        report = found[gap_bruteforce]
         assert (report.ess, report.gap) == (ess, gap)
-        assert peak <= (n + 8) * len(table), peak / len(table)
-        assert current < len(table) // 16, current
+        assert found[ess_bruteforce] == report.essential
 
 
 def test_enumeration_budget_is_decided_symbolically():

@@ -6,15 +6,16 @@ import random
 import pytest
 
 from latgap import (EnumerationBudgetError, MonotonicityError, PolyFn,
-                    builtin_lattice, canonicalize, characteristic_vector, chain, equivalent,
-                    essential_variables, eval_dnf, from_monotone_table,
+                    builtin_lattice, canonicalize, chain, equivalent,
+                    essential_variables,
                     identify, lattice_from_covers, parse_expr,
-                    reduce_to_essential, restrict_to_01, simple_substitution,
+                    reduce_to_essential, simple_substitution,
                     value_table)
 from latgap.polyfn import value_tables
-from latgap.finfun import ess_bruteforce, point_at
-from helpers import (essential_by_full_scan, monotone_tables_by_filter,
-                     random_term)
+from latgap.finfun import ess_bruteforce
+from helpers import (characteristic_vector, essential_by_full_scan, eval_dnf,
+                     from_monotone_table, monotone_tables_by_filter, point_at, random_term,
+                     restrict_to_01)
 
 MEDIAN = "(x1 & x2) | (x2 & x3) | (x3 & x1)"
 

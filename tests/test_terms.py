@@ -6,9 +6,9 @@ import random
 import pytest
 
 from latgap import (LatticeError, ParseError, canonicalize, chain,
-                    eval_term, format_dnf, from_monotone_table, parse_expr)
+                    format_dnf, parse_expr)
 from latgap.terms import MAX_TERM_DEPTH, Const, Join, Meet, Var
-from helpers import monotone_tables_by_filter, random_term
+from helpers import eval_term, from_monotone_table, monotone_tables_by_filter, random_term
 
 MEDIAN = "(x1 & x2) | (x2 & x3) | (x3 & x1)"
 
