@@ -42,13 +42,15 @@ Two batch oracles answer the same questions for many tables at once.
 `boolean_gap_codes` takes every Boolean function of one arity,
 bit-sliced (E. Biham, "A fast new DES implementation in software", FSE
 1997): one big integer per point, whose bit F is function F's value
-there. `table_gap_codes` takes a chunk of tables of one shape in byte
+there. `lane_gap_codes` takes a chunk of tables of one shape in byte
 lanes (L. Lamport, "Multiple byte processing with full-word
 instructions", CACM 1975): one big integer per point, whose byte f is
 table f's value there. XOR and OR never carry between lanes, so each
 neighbour pair of points costs one XOR and one OR for the whole chunk.
-Both read values only, and `gap_bruteforce` stays the reference for
-single functions.
+It reads columns, one per point with one byte per table, and
+`table_gap_codes` cuts whole tables into them. Both batch oracles read
+values only, and `gap_bruteforce` stays the reference for single
+functions.
 
 This module imports no other latgap module at run time, so the oracle
 knows only value tables.
@@ -494,9 +496,24 @@ def _lane_planes(columns: Sequence[int], pairs: Iterable, ones: int) -> list[int
     return planes
 
 
-def table_gap_codes(sizes: Sequence[int], tables: Sequence[bytes]) -> tuple[bytes, bytes]:
+def _lane_total(sizes: tuple[int, ...]) -> int:
+    # The number of points of a lane shape, once the shape is checked.
+    for a in sizes:
+        if not isinstance(a, int) or a < 2:
+            raise ValueError(f"alphabet sizes must be at least 2, got {a!r}")
+    if len(set(sizes)) > 1:
+        raise ValueError("positions must share one alphabet size")
+    total = math.prod(sizes)
+    if total > DEFAULT_BUDGET:
+        raise EnumerationBudgetError(
+            f"tables of {total} entries exceed the budget of {DEFAULT_BUDGET}")
+    return total
+
+
+def lane_gap_codes(sizes: Sequence[int], columns: Sequence[bytes]) -> tuple[bytes, bytes]:
     """Essential positions and arity gap of each of a chunk of tables of
-    one shape, in byte lanes.
+    one shape, given in columns: byte f of column p is table f's value
+    at point p, one column per point in index order.
 
     Returns the masks, w = max(1, ceil(n / 8)) bytes per table: bytes
     f*w to f*w+w-1, read little-endian, have bit k-1 set when position k
@@ -511,24 +528,16 @@ def table_gap_codes(sizes: Sequence[int], tables: Sequence[bytes]) -> tuple[byte
     positions besides i.
 
     Raises ValueError for a size that is not an int of at least 2, for
-    positions of more than one alphabet size and for a table of the
-    wrong length, and EnumerationBudgetError for tables of more than
-    DEFAULT_BUDGET entries.
+    positions of more than one alphabet size and for columns that are
+    not one per point or not of one length, and EnumerationBudgetError
+    for tables of more than DEFAULT_BUDGET entries.
     """
     sizes = tuple(sizes)
-    for a in sizes:
-        if not isinstance(a, int) or a < 2:
-            raise ValueError(f"alphabet sizes must be at least 2, got {a!r}")
-    if len(set(sizes)) > 1:
-        raise ValueError("positions must share one alphabet size")
-    total, count = math.prod(sizes), len(tables)
-    if total > DEFAULT_BUDGET:
-        raise EnumerationBudgetError(
-            f"tables of {total} entries exceed the budget of {DEFAULT_BUDGET}")
-    if any(len(table) != total for table in tables):
-        raise ValueError(f"every table must have {total} entries")
-    blob = b"".join(tables)
-    columns = [int.from_bytes(blob[p::total], "big") for p in range(total)]
+    total = _lane_total(sizes)
+    if len(columns) != total or len(set(map(len, columns))) > 1:
+        raise ValueError(f"need {total} columns of one length")
+    count = len(columns[0])
+    columns = [int.from_bytes(column, "big") for column in columns]
     ones = int.from_bytes(b"\x01" * count, "big")
     pairs, diagonals = _lane_plan(sizes)
     ess = _lane_planes(columns, pairs, ones)
@@ -557,6 +566,16 @@ def table_gap_codes(sizes: Sequence[int], tables: Sequence[bytes]) -> tuple[byte
                               ).to_bytes(count, "big")
     codes = analysed + (analysed & ~gap1) + (analysed & ~at_most2)
     return bytes(masks), codes.to_bytes(count, "big")
+
+
+def table_gap_codes(sizes: Sequence[int], tables: Sequence[bytes]) -> tuple[bytes, bytes]:
+    """lane_gap_codes on a chunk of whole tables, cut into columns.
+    Raises its errors, and ValueError for a table of the wrong length."""
+    total = _lane_total(tuple(sizes))
+    if any(len(table) != total for table in tables):
+        raise ValueError(f"every table must have {total} entries")
+    blob = b"".join(tables)
+    return lane_gap_codes(sizes, [blob[p::total] for p in range(total)])
 
 
 def salomaa_function(k: int) -> FiniteFn:

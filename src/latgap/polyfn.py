@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .finfun import DEFAULT_BUDGET, MAX_CODOMAIN, EnumerationBudgetError, FiniteFn
+from .finfun import _BYTES, DEFAULT_BUDGET, MAX_CODOMAIN, EnumerationBudgetError, FiniteFn
 from .lattice import Elem, Lattice
 
 if TYPE_CHECKING:
@@ -184,8 +184,8 @@ def value_table(f: PolyFn) -> FiniteFn:
     variable from the coefficient side to the point side; since meet
     distributes over join, the variables do not interact and the pass
     order does not change the result. Agrees at every point with the
-    DNF that the coefficient table spells out. The last pass reads exactly the tables of the two (n-1)-ary
-    coefficient halves, which value_tables builds on.
+    DNF that the coefficient table spells out. A pass works byte by
+    byte, so value_columns runs it on many tables at once.
 
     For |L| = k <= 16 a block is broadword: A and B, read as big-endian
     integers, pack into one byte string A*k + B whose bytes are the pairs
@@ -206,84 +206,52 @@ def value_table(f: PolyFn) -> FiniteFn:
     return FiniteFn(sizes=(lat.size,) * f.arity, codomain=lat.size, table=table)
 
 
-def value_tables(lattice: Lattice, arity: int,
-                 maps: Iterable[tuple[int, ...]]) -> Iterator[tuple[PolyFn, bytes]]:
-    """Each coefficient table of `maps` as a PolyFn over `lattice`,
-    with the bytes of its value_table, lazily.
+def value_columns(lattice: Lattice, arity: int, maps: Sequence[tuple[int, ...]]
+                  ) -> tuple[list[PolyFn], list[bytes], list[bytes]]:
+    """A chunk of m coefficient tables as PolyFns over `lattice`, with
+    their coefficient and value tables in columns of m bytes: byte f of
+    coefficient column c is a_c of map f, and byte f of value column p
+    is entry p of its value_table.
 
-    A table is value_table's last pass over the tables of its two
-    (n-1)-ary coefficient halves. Those come from value_table, once per
-    distinct half, and are kept in a dict that lives as long as the
-    returned iterator; it is emptied when full, at about DEFAULT_BUDGET
-    bytes of tables and key pointers. So a sweep over many maps builds
-    one pass per map, and no state outlives it.
+    The columns run through value_table's n passes: A and B are the even
+    and odd columns joined, and the output, cut every m bytes, gives the
+    next columns. A pass's block for v = top, A or B, equals B exactly
+    when A <= B entrywise, as a monotone table has it; and once the
+    passes before j proved a_I <= a_{I+i} for i < j, pass j reads a_{I+J}
+    and a_{I+J+j} at the point that is top on J and bottom elsewhere.
+    If shape, range (read as `bytes` reads it) or a pass fails, the
+    PolyFn constructor runs on each map in order, and the first bad map
+    raises its own error. The last output gets FiniteFn's checks, and
+    raises FiniteFn's error for the first map whose table fails them.
 
-    A map is monotone exactly when both halves are and a_I is below
-    a_{I+n} for every I in the low half: every other cover of the subset
-    order lies inside one half. Each half in the dict passed the PolyFn
-    constructor when it went in, so a map costs only its 2^(n-1) cross
-    covers, and its PolyFn is built without a second walk. A map that
-    fails there goes to the PolyFn constructor, which raises its usual
-    error: MonotonicityError naming the first failing cover, or
-    ValueError for a bad shape. Arity 0 takes the constructor too. Each
-    value table is checked for its length and its values, the checks
-    FiniteFn makes, and would raise FiniteFn's error.
-
-    Raises value_table's errors, and PolyFn's for a bad arity, at once,
-    before the first map.
+    Raises value_table's errors, and PolyFn's for a bad arity, before
+    reading a map.
     """
     _check_arity(arity)
     _check_table_budget(lattice, arity)
-    k = lattice.size
-    entries = k ** arity
-    # Deleting these from a table leaves the values outside the lattice.
-    elements = bytes(range(k))
-    up = lattice._up
-    size = 1 << arity
-    half = size >> 1
-    halves: dict[tuple[int, ...], bytes] = {}
-    room = DEFAULT_BUDGET // (k ** max(arity - 1, 0) + 8 * half)
-
-    def half_table(coeffs: tuple[int, ...]) -> bytes:
-        table = halves.get(coeffs)
-        if table is None:
-            if len(halves) >= room:
-                halves.clear()
-            table = halves[coeffs] = value_table(PolyFn(lattice, arity - 1, coeffs)).table
-        return table
-
-    def halves_if_monotone(coeffs: tuple[int, ...]) -> tuple[bytes, bytes] | None:
-        # The tables of the two halves when the map is a monotone
-        # coefficient table of the right shape, else None. Raises when a
-        # half does not pass the constructor.
-        if not isinstance(coeffs, tuple) or len(coeffs) != size:
-            return None
-        low, high = half_table(coeffs[:half]), half_table(coeffs[half:])
-        for sub in range(half):
-            if not (up[coeffs[sub]] >> coeffs[sub + half]) & 1:
-                return None
-        return low, high
-
-    def tables() -> Iterator[tuple[PolyFn, bytes]]:
+    k, size, m = lattice.size, 1 << arity, len(maps)
+    try:
+        if not all(isinstance(coeffs, tuple) and len(coeffs) == size for coeffs in maps):
+            raise ValueError("a map of the wrong shape")
+        out = bytes(itertools.chain.from_iterable(maps))
+        if out.translate(None, _BYTES[:k]):
+            raise ValueError("a value out of range")
+        columns = table = [out[c::size] for c in range(size)]
+        for _ in range(arity):
+            high = b"".join(table[1::2])
+            out = _extend_table(lattice, b"".join(table[0::2]), high)
+            top = lattice.top_index * len(high)
+            if out[top:top + len(high)] != high:
+                raise ValueError("a map not monotone")
+            table = [out[p * m:(p + 1) * m] for p in range(k * len(table) // 2)]
+    except (TypeError, ValueError):
         for coeffs in maps:
-            if not arity:
-                f, table = PolyFn(lattice, 0, coeffs), bytes(coeffs)
-            else:
-                try:
-                    pair = halves_if_monotone(coeffs)
-                except (TypeError, ValueError):
-                    # The map's own error, if it has one, before a half's.
-                    PolyFn(lattice, arity, coeffs)
-                    raise
-                if pair is None:
-                    # Raises, naming the first failing cover.
-                    PolyFn(lattice, arity, coeffs)
-                f, table = _proven_polyfn(lattice, arity, coeffs), _extend_table(lattice, *pair)
-            if len(table) != entries or table.translate(None, elements):
-                FiniteFn((k,) * arity, k, table)
-            yield f, table
-
-    return tables()
+            PolyFn(lattice, arity, coeffs)  # the first bad map raises
+        raise
+    if len(out) != k ** arity * m or out.translate(None, _BYTES[:k]):
+        for f in range(m):
+            FiniteFn((k,) * arity, k, out[f::m])
+    return [_proven_polyfn(lattice, arity, coeffs) for coeffs in maps], columns, table
 
 
 def essential_variables(f: PolyFn | FiniteFn) -> frozenset[int]:

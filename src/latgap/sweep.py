@@ -19,15 +19,14 @@ the counterexample comes from the per-function pair; only when that
 replay sides with the classifier does it also name the batch answer
 (`batch_gap`, `batch_essential`).
 
-The gap-theorem sweep takes each map's full value table from
-`polyfn.value_tables`, which builds each distinct coefficient half once,
-in a bounded dict that lives for one sweep, and each map's table in one
-pass over its two halves, proving it monotone and checking its bytes.
-It hands chunks of up to CHUNK_MAPS tables to the byte-lane oracle
-`table_gap_codes`, once on the value tables and once on the 0/1-point
-restrictions (the coefficient tables themselves), and replays a map the
-batch answers disagree on through `_gap_search` and `_ess_scan`, as the
-Boolean sweep replays one. No state outlives a sweep.
+The gap-theorem sweep draws the monotone maps in chunks of 1, 2, 4, ...
+up to CHUNK_MAPS maps and CHUNK_BYTES, so a sweep that stops at map s
+has built fewer than 2s maps. `polyfn.value_columns` builds a chunk's
+coefficient and value tables in columns, one byte per map, for the
+byte-lane oracle `lane_gap_codes`; the coefficient columns are the
+0/1-point restrictions. A map the lane answers disagree on is replayed
+through `_gap_search`, on its own value_table, and `_ess_scan`. No
+state outlives a sweep.
 """
 
 from __future__ import annotations
@@ -43,16 +42,16 @@ from .classify import (classify_boolean_gap, classify_polynomial_gap,
                        classify_pseudo_boolean_gap)
 from .finfun import (FiniteFn, GapReport, _ess_scan, _gap_search, boolean_gap_codes,
                      enumerate_all_functions, enumerate_monotone_maps, gap_bruteforce,
-                     table_gap_codes)
+                     lane_gap_codes)
 from .lattice import Lattice
-from .polyfn import PolyFn, value_tables
+from .polyfn import PolyFn, value_columns, value_table
 
 Outcome = tuple[int | None, dict | None]
 
-# A gap-theorem chunk of m maps holds their value tables twice, listed
-# and joined, and an int of m bytes per table entry: about (3m + 40)
-# bytes per entry, which CHUNK_BYTES bounds. Smaller chunks run slower.
-# A chunk of one map holds cached small ints, about 10 bytes per entry.
+# A gap-theorem chunk of m maps over E = |L|^n points peaks at about
+# (4E + 16 * 2^n) * m + 100 * (E + 2^n) bytes, which CHUNK_BYTES bounds:
+# the last value pass, the maps' tuples, and the columns as bytes and as
+# ints, one per point and one per coefficient. Smaller chunks run slower.
 CHUNK_MAPS = 256
 CHUNK_BYTES = 16 << 20
 
@@ -177,8 +176,10 @@ def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
     essentiality criteria must also agree; a disagreement is replayed
     through _gap_search and _ess_scan, which give the counterexample."""
     sizes, binary = (lattice.size,) * arity, (2,) * arity
-    maps = value_tables(lattice, arity, enumerate_monotone_maps(arity, lattice))
-    per_chunk = max(1, min(CHUNK_MAPS, (CHUNK_BYTES // lattice.size ** arity - 40) // 3))
+    maps = enumerate_monotone_maps(arity, lattice)
+    points, subsets = lattice.size ** arity, 1 << arity
+    most = max(1, min(CHUNK_MAPS, (CHUNK_BYTES - 100 * (points + subsets))
+                      // (4 * points + 16 * subsets)))
 
     @functools.lru_cache(maxsize=65536)  # every mask up to MAX_ARITY = 16
     def essential(mask: bytes) -> tuple[int, ...]:
@@ -186,23 +187,29 @@ def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
         bits = int.from_bytes(mask, "little")
         return tuple(k for k in range(1, arity + 1) if (bits >> (k - 1)) & 1)
 
-    def chunks() -> Iterator[tuple[tuple[PolyFn, bytes], bytes, int, bytes]]:
-        while batch := list(itertools.islice(maps, per_chunk)):
-            masks, codes = table_gap_codes(sizes, [table for _, table in batch])
-            restricted, _ = table_gap_codes(binary, [bytes(f.table) for f, _ in batch])
-            width = len(masks) // len(batch)
-            for k, item in enumerate(batch):
-                lanes = slice(k * width, (k + 1) * width)
-                yield item, masks[lanes], codes[k], restricted[lanes]
+    def lanes(batch: list[tuple[int, ...]]) -> list[tuple[PolyFn, bytes, int, bytes]]:
+        # Each map with its lane answers; the columns die on return.
+        fns, coefficients, values = value_columns(lattice, arity, batch)
+        masks, codes = lane_gap_codes(sizes, values)
+        restricted, _ = lane_gap_codes(binary, coefficients)
+        width = len(masks) // len(batch)
+        return [(f, masks[k * width:(k + 1) * width], codes[k],
+                 restricted[k * width:(k + 1) * width]) for k, f in enumerate(fns)]
 
-    def check(item: tuple[tuple[PolyFn, bytes], bytes, int, bytes]) -> Outcome:
-        (f, table), mask, code, restricted = item
+    def chunks() -> Iterator[tuple[PolyFn, bytes, int, bytes]]:
+        size = 1
+        while batch := list(itertools.islice(maps, size)):
+            yield from lanes(batch)
+            size = min(2 * size, most)
+
+    def check(item: tuple[PolyFn, bytes, int, bytes]) -> Outcome:
+        f, mask, code, restricted = item
         verdict = classify_polynomial_gap(f)
         gap = _CODE_GAPS[code]
         if (verdict.gap == gap and gap != 3 and verdict.essential == essential(mask)
                 and restricted == mask):
             return gap, None
-        report, ess01 = _gap_search(sizes, table), _ess_scan(binary, bytes(f.table))
+        report, ess01 = _gap_search(sizes, value_table(f).table), _ess_scan(binary, bytes(f.table))
         found = {"coefficients": [nm for _, nm in f.dump()],
                  **_both_answers(verdict, report), "restricted_essential": sorted(ess01)}
         if _agree(verdict, report) and ess01 == report.essential:

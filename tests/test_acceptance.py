@@ -19,7 +19,7 @@ import pytest
 from latgap import (EnumerationBudgetError, PolyFn, builtin_lattice, canonicalize, chain,
                     enumerate_monotone_maps, gap_bruteforce,
                     product, salomaa_function, value_table)
-from latgap.finfun import table_gap_codes
+from latgap.finfun import lane_gap_codes
 from latgap.sweep import sweep_boolean, sweep_gap_theorem, sweep_pseudo_boolean
 from helpers import eval_dnf, eval_term, random_term
 
@@ -250,21 +250,23 @@ def test_criterion_8_monotone_enumerator_counts():
 
 
 def _capture_lanes(monkeypatch, tables: list) -> list:
-    """Make the sweep's table_gap_codes append the (sizes, table) pairs
+    """Make the sweep's lane_gap_codes append the (sizes, table) pairs
     of the value tables it reads to `tables`; returns the list of chunk
-    sizes. Per chunk the sweep calls it twice: on the value tables, then
-    on the 0/1 restrictions."""
+    sizes. Per chunk the sweep calls it twice: on the value columns,
+    then on the coefficient columns, the 0/1 restrictions."""
     import latgap.sweep as sweep
     chunks = []
     calls = itertools.count()
 
-    def lanes(sizes, batch):
+    def lanes(sizes, columns):
         if next(calls) % 2 == 0:
-            chunks.append(len(batch))
-            tables.extend((sizes, table) for table in batch)
-        return table_gap_codes(sizes, batch)
+            count = len(columns[0])
+            joined = b"".join(columns)
+            chunks.append(count)
+            tables.extend((sizes, joined[f::count]) for f in range(count))
+        return lane_gap_codes(sizes, columns)
 
-    monkeypatch.setattr(sweep, "table_gap_codes", lanes)
+    monkeypatch.setattr(sweep, "lane_gap_codes", lanes)
     return chunks
 
 
@@ -279,9 +281,11 @@ def _sweep_tables(monkeypatch, name: str, arity: int):
 
 
 def test_gap_theorem_sweep_tables_match_value_table(monkeypatch):
-    # Each map's table is one pass over its memoised half tables; it
-    # must be value_table's, map for map.
-    for name, arity in (("2x2", 0), ("2x2", 1), ("2x2", 3), ("chain3", 4)):
+    # Each chunk's value columns come from value_table's passes run on
+    # the columns; the table they hold for each map must be
+    # value_table's, map for map. chain17 takes _extend_table's branch
+    # for more than 16 elements.
+    for name, arity in (("2x2", 0), ("2x2", 1), ("2x2", 3), ("chain3", 4), ("chain17", 2)):
         lat = builtin_lattice(name)
         report, tables = _sweep_tables(monkeypatch, name, arity)
         maps = list(enumerate_monotone_maps(arity, lat))
@@ -291,30 +295,13 @@ def test_gap_theorem_sweep_tables_match_value_table(monkeypatch):
             assert (sizes, table) == (expected.sizes, expected.table), (name, coeffs)
 
 
-def test_gap_theorem_sweep_halves_are_bounded(monkeypatch):
-    # With room for a few halves only, the dict empties itself over and
-    # over, and the tables and counts stay the same.
-    import latgap.polyfn as polyfn
-    full, tables = _sweep_tables(monkeypatch, "chain3", 4)
-    built = []
-    monkeypatch.setattr(polyfn, "DEFAULT_BUDGET", 3 * (27 + 8 * 8))
-    monkeypatch.setattr(polyfn, "value_table", lambda f: built.append(f) or value_table(f))
-    bounded_tables = []
-    _capture_lanes(monkeypatch, bounded_tables)
-    bounded = sweep_gap_theorem("chain3", builtin_lattice("chain3"), 4)
-    assert bounded.to_json() == full.to_json()
-    assert len(tables) == full.scanned == 7581
-    assert bounded_tables == tables
-    # 168 distinct halves, many built more than once.
-    assert len({f.table for f in built}) == 168 < len(built)
-
-
 def test_gap_theorem_sweep_chunks_do_not_change_reports(monkeypatch):
-    # 2x2/3 has 64-entry tables: a byte budget of 61 * 64 makes chunks
-    # of (61 - 40) // 3 = 7 maps, and one of 64 chunks of one map.
-    # The reports match the default chunks of 256, with the right
-    # classifier and with one that calls every gap 1, which the first
-    # truncated median, map 45, contradicts.
+    # Chunks grow 1, 2, 4, ... maps up to a cap that CHUNK_BYTES sets.
+    # 2x2/3 has 64-point tables and 8 coefficients: a byte budget of
+    # 100 * 72 + 7 * (4 * 64 + 16 * 8) caps chunks at 7 maps, and one
+    # of 64 at one map. The reports match the default cap of 256, with
+    # the right classifier and with one that calls every gap 1, which
+    # the first truncated median, map 45, contradicts.
     import latgap.sweep as sweep
     from latgap.classify import Gap1, classify_polynomial_gap
 
@@ -324,27 +311,63 @@ def test_gap_theorem_sweep_chunks_do_not_change_reports(monkeypatch):
 
     for classifier, scanned in ((classify_polynomial_gap, 400), (gap_one, 45)):
         reports = []
-        for budget, size in ((sweep.CHUNK_BYTES, 256), (61 * 64, 7), (64, 1)):
+        for budget, size in ((sweep.CHUNK_BYTES, 256), (7200 + 7 * 384, 7), (64, 1)):
             monkeypatch.setattr(sweep, "CHUNK_BYTES", budget)
             monkeypatch.setattr(sweep, "classify_polynomial_gap", classifier)
             tables = []
             chunks = _capture_lanes(monkeypatch, tables)
             reports.append(sweep_gap_theorem("2x2", builtin_lattice("2x2"), 3).to_json())
             monkeypatch.undo()
-            # Every chunk is full but the last, and the sweep reads at
-            # most the rest of the chunk that holds the map it stops at.
-            assert set(chunks[:-1]) <= {size} and 0 < chunks[-1] <= size
-            assert scanned <= len(tables) < scanned + size
+            # Every chunk but the last is twice the one before it, up to
+            # the cap, and a sweep that stops at map s built fewer than
+            # 2s maps.
+            ramp = [min(1 << k, size) for k in range(len(chunks))]
+            assert chunks[:-1] == ramp[:-1] and 0 < chunks[-1] <= ramp[-1]
+            assert scanned <= len(tables) < 2 * scanned
         assert reports[0] == reports[1] == reports[2]
         assert reports[0]["monotone_maps"] == scanned
         assert reports[0]["ok"] is (classifier is classify_polynomial_gap)
+
+
+def test_gap_theorem_sweep_chunks_fit_their_byte_budget(monkeypatch):
+    # Under a byte budget of 1 MiB a sweep's chunks grow to the most maps
+    # the budget allows. One chunk of that many maps, from drawing them
+    # to both lane calls, peaks within the budget and above half of it.
+    # chain2/9 has as many coefficients as points, 2x2/6 64 times fewer.
+    import tracemalloc
+    import latgap.sweep as sweep
+    from latgap.classify import Gap1, classify_polynomial_gap
+    from latgap.polyfn import value_columns
+    budget = 1 << 20
+    monkeypatch.setattr(sweep, "CHUNK_BYTES", budget)
+    for name, arity, most in (("chain2", 9, 92), ("2x2", 6, 36)):
+        lat = builtin_lattice(name)
+        chunks = []
+        monkeypatch.setattr(sweep, "value_columns", lambda lat, n, maps: (
+            chunks.append(len(maps)) or value_columns(lat, n, maps)))
+        drawn = itertools.count(1)
+        monkeypatch.setattr(sweep, "classify_polynomial_gap", lambda f: (
+            classify_polynomial_gap(f) if next(drawn) < 200 else Gap1(())))
+        assert sweep_gap_theorem(name, lat, arity).scanned == 200
+        assert max(chunks) == most
+        tracemalloc.start()
+        try:
+            maps = list(itertools.islice(enumerate_monotone_maps(arity, lat), most))
+            _, coefficients, values = value_columns(lat, arity, maps)
+            lane_gap_codes((lat.size,) * arity, values)
+            lane_gap_codes((2,) * arity, coefficients)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert budget // 2 < peak <= budget, (name, peak)
 
 
 def test_gap_theorem_sweep_reads_two_byte_masks(monkeypatch):
     # At arity 9 a batch mask takes two bytes. Of the first 300 maps of
     # chain2/9, 245 have all 9 positions essential; the first 299 agree
     # through the lanes, and a classifier that drops a position from map
-    # 300 on stops the sweep there.
+    # 300 on stops the sweep there, in the chunk of maps 256 to 511:
+    # chunks of 1, 2, 4, ..., 256 maps built 511 maps in all.
     import latgap.sweep as sweep
     from latgap.classify import Gap1, classify_polynomial_gap
     drawn = itertools.count(1)
@@ -354,25 +377,30 @@ def test_gap_theorem_sweep_reads_two_byte_masks(monkeypatch):
         return verdict if next(drawn) < 300 else Gap1(verdict.essential[:-1])
 
     monkeypatch.setattr(sweep, "classify_polynomial_gap", wrong_from_300)
+    chunks = _capture_lanes(monkeypatch, [])
     report = sweep_gap_theorem("chain2", builtin_lattice("chain2"), 9)
     assert (report.scanned, report.analyzed, report.gap_counts) == (300, 299, {1: 298, 2: 0})
+    assert chunks == [1, 2, 4, 8, 16, 32, 64, 128, 256]
     found = report.counterexample
     assert found["oracle_essential"] == found["restricted_essential"] == list(range(1, 10))
     assert (found["essential"], "batch_gap" in found) == (list(range(1, 9)), False)
 
 
 def test_gap_theorem_sweep_checks_the_full_table_budget(monkeypatch):
-    # Only the halves go through value_table, so the budget of the full
-    # table is checked on its own, before the first map: a 2x2/3 map has
-    # 16-entry halves and a 64-entry table.
+    # value_columns checks the budget of the full table before it reads
+    # a map, though the chunk's coefficients are far smaller: a 2x2/3 map
+    # has 8 coefficients and a 64-entry table.
     import latgap.polyfn as polyfn
     monkeypatch.setattr(polyfn, "DEFAULT_BUDGET", 63)
 
-    def maps():
-        raise AssertionError("a map was drawn")
-        yield
+    class Unread(list):
+        def __iter__(self):
+            raise AssertionError("a map was read")
 
-    for run in (lambda: polyfn.value_tables(builtin_lattice("2x2"), 3, maps()),
+        def __len__(self):
+            raise AssertionError("a map was read")
+
+    for run in (lambda: polyfn.value_columns(builtin_lattice("2x2"), 3, Unread()),
                 lambda: sweep_gap_theorem("2x2", builtin_lattice("2x2"), 3)):
         with pytest.raises(EnumerationBudgetError,
                            match=r"^a value table of 4\^3 entries exceeds the budget of 63$"):
@@ -380,27 +408,24 @@ def test_gap_theorem_sweep_checks_the_full_table_budget(monkeypatch):
 
 
 def test_gap_theorem_sweep_keeps_no_state_between_runs(monkeypatch):
-    # Two sweeps in one process do the same work: the memoised halves
-    # die with each sweep.
-    import latgap.polyfn as polyfn
+    # Two sweeps in one process do the same work: nothing a sweep builds
+    # outlives it.
     import latgap.sweep as sweep
     runs = []
     for _ in range(2):
-        calls = {"value_table": 0, "table_gap_codes": 0, "_gap_search": 0, "_ess_scan": 0}
+        calls = {"value_table": 0, "lane_gap_codes": 0, "_gap_search": 0, "_ess_scan": 0}
         for name in calls:
-            module = polyfn if name == "value_table" else sweep
-
-            def counted(*args, _name=name, _real=getattr(module, name), _calls=calls):
+            def counted(*args, _name=name, _real=getattr(sweep, name), _calls=calls):
                 _calls[_name] += 1
                 return _real(*args)
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(sweep, name, counted)
         report = sweep_gap_theorem("2x2", builtin_lattice("2x2"), 3)
         monkeypatch.undo()
         runs.append((report.to_json(), calls))
     assert runs[0] == runs[1]
-    # One value_table per distinct half: the 36 monotone maps of arity 2.
-    # The 400 maps make two chunks, of 256 and 144, each with one lane
-    # call on the value tables and one on the 0/1 restrictions; no map
-    # disagrees, so none is searched on its own.
-    assert runs[0][1] == {"value_table": 36, "table_gap_codes": 4,
+    # The 400 maps make nine chunks, of 1, 2, 4, ..., 128 and 145, each
+    # with one lane call on the value columns and one on the coefficient
+    # columns; no map disagrees, so none gets a value_table or a search
+    # of its own.
+    assert runs[0][1] == {"value_table": 0, "lane_gap_codes": 18,
                           "_gap_search": 0, "_ess_scan": 0}

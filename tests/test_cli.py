@@ -441,18 +441,18 @@ def test_gap_theorem_sweep_checks_the_restriction(capsys, monkeypatch):
     # is off, so the replay sides with the classifier and the
     # counterexample blames the batch answers.
     import latgap.sweep as sweep
-    real = sweep.table_gap_codes
+    real = sweep.lane_gap_codes
 
-    def drop_last(sizes, tables):
+    def drop_last(sizes, columns):
         # On the 0/1 restrictions of chain3 maps, clears the highest
         # essential position of each one-byte mask.
-        masks, codes = real(sizes, tables)
+        masks, codes = real(sizes, columns)
         if sizes[0] == 2:
             masks = bytes(mask & ~(1 << mask.bit_length() - 1) if mask else 0
                           for mask in masks)
         return masks, codes
 
-    monkeypatch.setattr(sweep, "table_gap_codes", drop_last)
+    monkeypatch.setattr(sweep, "lane_gap_codes", drop_last)
     rc, payload, _ = run_json(capsys, GAP_THEOREM)
     assert (rc, payload["ok"], payload["monotone_maps"]) == (2, False, 2)
     assert payload["counterexample"] == {
@@ -466,13 +466,13 @@ def test_gap_theorem_sweep_names_a_wrong_batch_oracle(capsys, monkeypatch):
     # The classifier and _gap_search agree on the first truncated
     # median, so the counterexample blames the byte-lane answers.
     import latgap.sweep as sweep
-    real = sweep.table_gap_codes
+    real = sweep.lane_gap_codes
 
-    def two_as_one(sizes, tables):
-        masks, codes = real(sizes, tables)
+    def two_as_one(sizes, columns):
+        masks, codes = real(sizes, columns)
         return masks, codes.replace(b"\x02", b"\x01")
 
-    monkeypatch.setattr(sweep, "table_gap_codes", two_as_one)
+    monkeypatch.setattr(sweep, "lane_gap_codes", two_as_one)
     rc, payload, _ = run_json(capsys, GAP_THEOREM)
     assert (rc, payload["ok"], payload["monotone_maps"]) == (2, False, 28)
     assert payload["counterexample"] == {

@@ -8,13 +8,15 @@ import tracemalloc
 import types
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import latgap.finfun
 from latgap import (EnumerationBudgetError, FiniteFn, boolean_gap_codes,
                     builtin_lattice, chain, enumerate_all_functions, enumerate_monotone_maps,
                     ess_bruteforce, gap_bruteforce,
                     identify_table, parse_finite_fn, salomaa_function, table_gap_codes)
-from latgap.polyfn import value_tables
+from latgap.finfun import lane_gap_codes
+from latgap.polyfn import value_columns
 from helpers import (essential_by_points, gap_by_points, identify_by_points,
                      format_finite_fn, monotone_maps_recursive,
                      monotone_tables_by_filter, point_at)
@@ -324,10 +326,12 @@ def test_table_gap_codes_match_the_oracle_on_monotone_maps():
     # Every map of the shapes the gap-theorem sweep runs, in its chunks.
     for name, arity in (("2x2", 3), ("2x3", 3), ("chain3", 4), ("2x2", 4)):
         lat = builtin_lattice(name)
-        tables = [table for _, table in
-                  value_tables(lat, arity, enumerate_monotone_maps(arity, lat))]
-        for start in range(0, len(tables), 256):
-            assert_lanes_match_oracle((lat.size,) * arity, tables[start:start + 256])
+        maps = list(enumerate_monotone_maps(arity, lat))
+        for start in range(0, len(maps), 256):
+            _, _, columns = value_columns(lat, arity, maps[start:start + 256])
+            joined, count = b"".join(columns), len(columns[0])
+            assert_lanes_match_oracle((lat.size,) * arity,
+                                      [joined[f::count] for f in range(count)])
 
 
 def test_table_gap_codes_match_the_oracle_on_seeded_tables():
@@ -371,6 +375,45 @@ def test_table_gap_codes_on_all_distinct_arguments():
                                                        bytes([min(n, 3)]))
 
 
+@st.composite
+def wide_tables(draw) -> tuple[tuple[int, ...], bytes, bool]:
+    """A table over |A| = 3..5 that reads more than |A| of its positions,
+    with the flag of its parity part: the parity of the number of read
+    positions at 0, plus sparse or dense random values, mod the
+    codomain size, on a seeded sample of points."""
+    a = draw(st.integers(3, 5))
+    n = draw(st.integers(a + 1, {3: 7, 4: 6, 5: 6}[a]))
+    read = sorted(draw(st.sets(st.integers(0, n - 1), min_size=a + 1)))
+    parity = draw(st.booleans())
+    count = draw(st.one_of(st.integers(0, 8), st.integers(0, a ** len(read))))
+    codomain = draw(st.integers(2, 5))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    values = {tuple(rng.randrange(a) for _ in read): rng.randrange(1, codomain)
+              for _ in range(count)}
+    table = bytearray()
+    for point in itertools.product(range(a), repeat=n):
+        digits = tuple(point[n - 1 - k] for k in read)  # position 1 fastest
+        table.append((parity * (digits.count(0) & 1) + values.get(digits, 0)) % codomain)
+    return (a,) * n, bytes(table), parity and not values
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(wide_tables())
+def test_more_essential_positions_than_letters_give_a_gap_of_at_most_two(shaped):
+    # Couceiro and Lehtonen (IJFCS 2007): a function on a k-element set
+    # with n > k essential variables has an identification minor with at
+    # least n - 2 of them, so its gap is at most 2. Both oracles must
+    # agree; the parity of the count of zeros alone loses the two
+    # identified positions in every minor, so its gap is exactly 2.
+    sizes, table, parity_only = shaped
+    report = gap_bruteforce(FiniteFn(sizes, 256, table))
+    assume(report.ess > sizes[0])
+    assert report.gap <= 2 and (report.gap == 2 or not parity_only)
+    masks, codes = table_gap_codes(sizes, [table])
+    assert int.from_bytes(masks, "little") == sum(1 << (k - 1) for k in report.essential)
+    assert codes == bytes([report.gap])
+
+
 def test_table_gap_codes_errors(monkeypatch):
     assert table_gap_codes((3, 3), []) == (b"", b"")
     assert table_gap_codes((), [b"\x07", b"\x00"]) == (bytes(2), bytes(2))
@@ -380,6 +423,16 @@ def test_table_gap_codes_errors(monkeypatch):
         table_gap_codes((2, 1), [bytes(2)])
     with pytest.raises(ValueError, match="every table must have 4 entries"):
         table_gap_codes((2, 2), [bytes(4), bytes(3)])
+    # The column entry point reads the same chunk, one column per point.
+    assert lane_gap_codes((3, 3), [b""] * 9) == (b"", b"")
+    # Table 0 is x1 or x2, table 1 constant.
+    assert lane_gap_codes((2, 2), [b"\x00\x00", b"\x01\x00", b"\x01\x00", b"\x01\x00"]) == (
+        bytes([3, 0]), bytes([1, 0]))
+    for columns in ([bytes(2)] * 3, [bytes(2)] * 3 + [bytes(1)]):
+        with pytest.raises(ValueError, match="^need 4 columns of one length$"):
+            lane_gap_codes((2, 2), columns)
+    with pytest.raises(ValueError, match="share one alphabet size"):
+        lane_gap_codes((2, 3), [bytes(1)] * 6)
     monkeypatch.setattr(latgap.finfun, "DEFAULT_BUDGET", 15)
     with pytest.raises(EnumerationBudgetError, match="tables of 16 entries exceed"):
         table_gap_codes((2,) * 4, [])

@@ -11,7 +11,7 @@ from latgap import (EnumerationBudgetError, MonotonicityError, PolyFn,
                     identify, lattice_from_covers, parse_expr,
                     reduce_to_essential, simple_substitution,
                     value_table)
-from latgap.polyfn import value_tables
+from latgap.polyfn import value_columns
 from latgap.finfun import ess_bruteforce
 from helpers import (characteristic_vector, essential_by_full_scan, eval_dnf,
                      from_monotone_table, monotone_tables_by_filter, point_at, random_term,
@@ -241,77 +241,90 @@ def test_value_table_matches_eval(c3, c4, rect23):
             assert vt.table[idx] == eval_dnf(f, point).index
 
 
-def _drain(maps_iter):
-    """The items drawn before the iterator raised, and what it raised."""
-    items = []
-    try:
-        for item in maps_iter:
-            items.append(item)
-    except ValueError as exc:
-        return items, exc
-    return items, None
-
-
 def _constructor_error(lat, n, coeffs) -> ValueError:
     with pytest.raises(ValueError) as err:
         PolyFn(lat, n, coeffs)
     return err.value
 
 
-def test_value_tables_prove_monotonicity_from_the_halves(c3):
-    # A map is monotone when both halves are and a_I <= a_{I+n} on every
-    # cross cover; a map that fails raises the constructor's own error,
-    # witness and text included. The good maps memoise the halves (0, 2)
-    # and (1, 1), so on the first bad map only the cross covers are left
-    # to fail. The high half of the third is not monotone, and there the
-    # witness of the half, a[{}] above a[{1}], is not the map's.
+def _tables(columns: list[bytes]) -> list[bytes]:
+    """The tables a chunk's columns hold, one per map."""
+    joined, count = b"".join(columns), len(columns[0])
+    return [joined[f::count] for f in range(count)]
+
+
+def test_value_columns_prove_monotonicity_per_chunk(c3):
+    # One check proves a whole chunk. A bad map in the middle of a chunk
+    # raises the constructor's own error, witness and text included:
+    # MonotonicityError naming the first failing cover, or ValueError
+    # for a map of the wrong length, not a tuple, or with a value out of
+    # range or not an int.
     good = [(0, 2, 0, 2), (1, 1, 1, 1)]
-    for bad in ((0, 2, 1, 1), (1, 0, 2, 2), (0, 0, 2, 1), (0, 0, 0), [0, 0, 0, 0]):
-        items, exc = _drain(value_tables(c3, 2, good + [bad]))
+    for bad in ((0, 2, 1, 1), (1, 0, 2, 2), (0, 0, 2, 1), (2, 2, 2, 0), (0, 0, 0),
+                [0, 0, 0, 0], (0, 0, 0, 3), (3, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, 256),
+                (0, 0, 0, 1.0), (0, 0, 0, "2")):
+        with pytest.raises(ValueError) as err:
+            value_columns(c3, 2, good + [bad] + good)
         expected = _constructor_error(c3, 2, bad)
-        assert [f.table for f, _ in items] == good
-        assert (type(exc), str(exc)) == (type(expected), str(expected)), bad
+        assert (type(err.value), str(err.value)) == (type(expected), str(expected)), bad
         if isinstance(expected, MonotonicityError):
-            assert (exc.subset, exc.superset) == (expected.subset, expected.superset)
-    # The same on seeded tables with one coefficient redrawn, each after
-    # a run of monotone maps, at arities whose halves have halves.
+            assert (err.value.subset, err.value.superset) == (expected.subset, expected.superset)
+    # The passes accept exactly the tables the constructor accepts, on
+    # every table of three small shapes.
+    def accepts(build) -> bool:
+        try:
+            build()
+        except MonotonicityError:
+            return False
+        return True
+
+    for lat, n in ((chain(2), 3), (c3, 2), (builtin_lattice("2x2"), 2)):
+        for t in itertools.product(range(lat.size), repeat=1 << n):
+            assert accepts(lambda: PolyFn(lat, n, t)) == accepts(
+                lambda: value_columns(lat, n, [t])), (lat, t)
+    # The same on seeded tables with one coefficient redrawn, between
+    # runs of monotone maps. A chunk that passes gives each map's
+    # coefficient table and value_table in its columns.
     rng = random.Random(1602)
     rejected = 0
-    for lat in (c3, builtin_lattice("2x2")):
-        for n in (1, 3, 4):
-            for _ in range(40):
-                good = [random_monotone_table(rng, n, lat) for _ in range(3)]
+    for lat in (c3, builtin_lattice("2x2"), chain(17)):
+        for n in (0, 1, 3, 4):
+            for _ in range(20):
+                good = [random_monotone_table(rng, n, lat) for _ in range(4)]
                 table = list(rng.choice(good))
                 table[rng.randrange(len(table))] = rng.randrange(lat.size)
-                table = tuple(table)
-                items, exc = _drain(value_tables(lat, n, good + [table]))
+                maps = good[:2] + [tuple(table)] + good[2:]
                 try:
-                    f = PolyFn(lat, n, table)
+                    fns = [PolyFn(lat, n, coeffs) for coeffs in maps]
                 except MonotonicityError as expected:
                     rejected += 1
-                    assert len(items) == 3
-                    assert (str(exc), exc.subset, exc.superset) == (
+                    with pytest.raises(MonotonicityError) as err:
+                        value_columns(lat, n, maps)
+                    assert (str(err.value), err.value.subset, err.value.superset) == (
                         str(expected), expected.subset, expected.superset)
-                else:
-                    assert exc is None and items[3][0] == f
-                for f, table_bytes in items:
-                    assert table_bytes == value_table(f).table
+                    continue
+                got, coefficients, values = value_columns(lat, n, maps)
+                assert got == fns
+                assert _tables(coefficients) == [bytes(coeffs) for coeffs in maps]
+                assert _tables(values) == [value_table(f).table for f in fns]
     assert rejected > 40
 
 
-def test_value_tables_check_each_value_table(c3, monkeypatch):
-    # Each table's length and values get FiniteFn's checks, and its
-    # errors, though the pass that made it is trusted to be right. At
-    # arity 1 the halves are constants, built with no pass.
+def test_value_columns_check_the_value_tables(monkeypatch):
+    # The last pass's output gets FiniteFn's length and value checks, and
+    # the first map whose table fails raises FiniteFn's error, though the
+    # passes are trusted to be right. With the top listed first, a pass
+    # broken at its end still proves the maps monotone.
     import latgap.polyfn as polyfn
+    top_first = lattice_from_covers(("1", "0"), (("0", "1"),))
     extend = polyfn._extend_table
     for broken, message in (
-            (lambda t: t[:-1], "table has 2 entries, expected 3"),
-            (lambda t: t[:-1] + b"\x03", "value 3 out of codomain range")):
+            (lambda t: t[:-1], "table has 1 entries, expected 2"),
+            (lambda t: t[:-1] + b"\x02", "value 2 out of codomain range")):
         monkeypatch.setattr(polyfn, "_extend_table",
                             lambda *args, _broken=broken: _broken(extend(*args)))
         with pytest.raises(ValueError, match=f"^{message}$"):
-            next(value_tables(c3, 1, [(0, 2)]))
+            value_columns(top_first, 1, [(1, 0), (0, 0)])
 
 
 def test_value_table_checks_its_size_first():
