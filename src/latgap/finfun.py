@@ -38,19 +38,21 @@ nothing from the fibre before. The not-last mask clears the rest, and
 the broadcast ORs T << s over the same shifts, down the fibre and never
 past digit 0. The diagonals are cached by the size rule of plans.
 
-Two batch oracles answer the same questions for many tables at once.
-`boolean_gap_codes` takes every Boolean function of one arity,
-bit-sliced (E. Biham, "A fast new DES implementation in software", FSE
-1997): one big integer per point, whose bit F is function F's value
-there. `lane_gap_codes` takes a chunk of tables of one shape in byte
-lanes (L. Lamport, "Multiple byte processing with full-word
-instructions", CACM 1975): one big integer per point, whose byte f is
-table f's value there. XOR and OR never carry between lanes, so each
-neighbour pair of points costs one XOR and one OR for the whole chunk.
-It reads columns, one per point with one byte per table, and
-`table_gap_codes` cuts whole tables into them. Both batch oracles read
-values only, and `gap_bruteforce` stays the reference for single
-functions.
+Two batch oracles answer the same questions for many tables at once,
+on one private core. It reads one big integer per point, a column
+whose lane f, counted from the top, is table f's value there.
+`boolean_gap_codes` takes every Boolean function of one arity in 1-bit
+lanes, bit-sliced (E. Biham, "A fast new DES implementation in
+software", FSE 1997). `lane_gap_codes` takes a chunk of tables of one
+shape in 8-bit lanes (L. Lamport, "Multiple byte processing with
+full-word instructions", CACM 1975), which the core folds to their
+lowest bit. XOR and OR never carry between lanes, so each neighbour
+pair of points costs one XOR and one OR for the whole chunk. The core
+reads each minor (i, j), i < j, on the points whose digits at i and j
+agree, and one encoder turns its planes, widened to byte lanes, into
+mask and code bytes. `table_gap_codes` cuts whole tables into columns.
+Both batch oracles read values only, and `gap_bruteforce` stays the
+reference for single functions.
 
 This module imports no other latgap module at run time, so the oracle
 knows only value tables.
@@ -354,101 +356,6 @@ def gap_bruteforce(f: FiniteFn) -> GapReport:
     return _gap_search(f.sizes, f.table)
 
 
-def _periodic(block: int, total: int) -> int:
-    # Over `total` bits, the bits whose index has bit log2(block) set:
-    # bit F set exactly when (F // block) is odd. Built by doubling.
-    pattern = ((1 << block) - 1) << block
-    width = 2 * block
-    while width < total:
-        pattern |= pattern << width
-        width *= 2
-    return pattern
-
-
-def _essential_planes(columns: Sequence[int], n: int) -> list[int]:
-    # Plane k-1 has bit F set when position k is essential for function
-    # F: some two points differing only at k get different values.
-    planes = []
-    for k in range(n):
-        bit = 1 << k
-        plane = 0
-        for p, column in enumerate(columns):
-            if not p & bit:
-                plane |= column ^ columns[p | bit]
-        planes.append(plane)
-    return planes
-
-
-# Turns the text digits of a plane into bytes of value 0 and 1.
-_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _byte_per_bit(plane: int, total: int) -> int:
-    # An integer whose little-endian byte F is bit F of `plane`.
-    return int.from_bytes(format(plane, f"0{total}b").encode().translate(_DIGIT_VALUES),
-                          "big")
-
-
-def boolean_gap_codes(n: int) -> tuple[bytes, bytes]:
-    """Essential positions and arity gap of every Boolean function of
-    arity n, bit-sliced.
-
-    Returns two `bytes` of length 2**(2**n), indexed like
-    `enumerate_all_functions(n, 2, 2)`: byte F of the first is the mask
-    of function F's essential positions (bit k-1 for position k), and
-    byte F of the second its gap code: 0 below two essential positions
-    (gap undefined), 1, 2, or 3 for a gap of 3 or more.
-
-    Entry p of table F is bit 2**n-1-p of F, so the column of point p,
-    the integer whose bit F is F's value at p, is a periodic bit
-    pattern. Identifying position i with j re-indexes the columns, and
-    per pair two accumulators over the positions other than i, "lost
-    one" and "lost two", mark the functions whose minor drops no further
-    essential position (gap 1) or at most one (gap at most 2).
-
-    Raises ValueError for a negative or non-int n, and
-    EnumerationBudgetError, before building anything, when the
-    2**(2**n) functions exceed DEFAULT_BUDGET.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("arity must be a nonnegative int")
-    # 2**points > DEFAULT_BUDGET exactly when points >= limit; decided
-    # from n first, so that a large n builds no large integer.
-    limit = DEFAULT_BUDGET.bit_length()
-    if n >= limit.bit_length() or 1 << n >= limit:
-        raise EnumerationBudgetError(
-            f"2**(2**{n}) functions exceed the budget of {DEFAULT_BUDGET}")
-    points = 1 << n
-    total = 1 << points
-    columns = [_periodic(1 << (points - 1 - p), total) for p in range(points)]
-    ess = _essential_planes(columns, n)
-    seen = analysed = 0  # at least one, at least two essential positions
-    for plane in ess:
-        analysed |= seen & plane
-        seen |= plane
-    gap1 = at_most2 = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            # Point p of the minor reads point sigma(p) of f: bit i set to bit j.
-            minor = [columns[(p & ~(1 << i)) | ((p >> j & 1) << i)]
-                     for p in range(points)]
-            lost_one = lost_two = 0
-            for k, kept in enumerate(_essential_planes(minor, n)):
-                if k != i:
-                    lost = ess[k] & ~kept
-                    lost_two |= lost_one & lost
-                    lost_one |= lost
-            both = ess[i] & ess[j]
-            gap1 |= both & ~lost_one
-            at_most2 |= both & ~lost_two
-    masks = sum(_byte_per_bit(plane, total) << k for k, plane in enumerate(ess))
-    codes = sum(_byte_per_bit(plane, total)
-                for plane in (analysed, analysed & ~gap1, analysed & ~at_most2))
-    return masks.to_bytes(total, "little"), codes.to_bytes(total, "little")
-
-
 def _build_lane_plan(sizes: tuple[int, ...]) -> tuple[Iterable, Iterable]:
     # Per position k, the points whose digit at k is not the last and
     # their neighbours one digit up there; per pair i < j of positions,
@@ -483,17 +390,112 @@ def _lane_plan(sizes: tuple[int, ...]) -> tuple[Iterable, Iterable]:
     return _build_lane_plan(sizes)
 
 
-def _lane_planes(columns: Sequence[int], pairs: Iterable, ones: int) -> list[int]:
-    # Per position, the integer whose byte lane f is 1 when the position
-    # is essential for table f: some neighbour pair differs there.
+def _lane_planes(columns: Sequence[int], pairs: Iterable, ones: int,
+                 folds: tuple[int, ...]) -> list[int]:
+    # Per position, the integer whose lane f is 1 when the position is
+    # essential for table f: some neighbour pair differs there.
     get = columns.__getitem__
     planes = []
     for lo, hi in pairs:
         plane = functools.reduce(operator.or_, map(operator.xor, map(get, lo), map(get, hi)), 0)
-        for shift in (4, 2, 1):  # OR each lane's 8 bits into its lowest
+        for shift in folds:  # OR each lane's bits into its lowest
             plane |= plane >> shift
         planes.append(plane & ones)
     return planes
+
+
+def _gap_planes(sizes: tuple[int, ...], columns: Sequence[int], ones: int,
+                folds: tuple[int, ...]) -> tuple[list[int], tuple[int, int, int]]:
+    # The essential plane of each position, and three code planes whose
+    # lanes add up to the gap code, for the tables in the lanes of the
+    # point columns; `ones` is 1 in every lane, and `folds` the shifts
+    # that fold a lane into its lowest bit. A minor (i, j), i < j, is
+    # read on the diagonal points as a table of the shape without i.
+    # Per pair, "lost one" and "lost two" mark the lanes whose minor
+    # drops one, or two, essential positions besides i.
+    pairs, diagonals = _lane_plan(sizes)
+    ess = _lane_planes(columns, pairs, ones, folds)
+    seen = analysed = gap1 = at_most2 = 0
+    for plane in ess:
+        analysed |= seen & plane
+        seen |= plane
+    for (i, j), points in zip(itertools.combinations(range(len(sizes)), 2), diagonals):
+        both = ess[i] & ess[j]
+        if not both:
+            continue
+        minor = _lane_planes(list(map(columns.__getitem__, points)),
+                             _lane_plan(sizes[1:])[0], ones, folds)
+        lost_one = lost_two = 0
+        for k, plane in enumerate(ess):
+            if k != i:
+                lost = plane & ~minor[k - (k > i)]
+                lost_two |= lost_one & lost
+                lost_one |= lost
+        gap1 |= both & ~lost_one
+        at_most2 |= both & ~lost_two
+    return ess, (analysed, analysed & ~gap1, analysed & ~at_most2)
+
+
+def _lane_bytes(ess: Iterable[int], code_planes: Iterable[int], count: int,
+                width: int) -> tuple[bytes, bytes]:
+    # The masks, `width` bytes per table, and the gap code bytes of
+    # `count` tables, from their byte-lane planes, each read once.
+    ess = iter(ess)
+    masks = bytearray(count * width)
+    for b in range(width):
+        masks[b::width] = sum(plane << k for k, plane in enumerate(itertools.islice(ess, 8))
+                              ).to_bytes(count, "big")
+    return bytes(masks), sum(code_planes).to_bytes(count, "big")
+
+
+# Turns the text digits of a plane into bytes of value 0 and 1.
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def boolean_gap_codes(n: int) -> tuple[bytes, bytes]:
+    """Essential positions and arity gap of every Boolean function of
+    arity n, bit-sliced.
+
+    Returns two `bytes` of length 2**(2**n), indexed like
+    `enumerate_all_functions(n, 2, 2)`: byte F of the first is the mask
+    of function F's essential positions (bit k-1 for position k), and
+    byte F of the second its gap code: 0 below two essential positions
+    (gap undefined), 1, 2, or 3 for a gap of 3 or more.
+
+    Entry p of table F is bit 2**n-1-p of F, so the column of point p,
+    the integer whose bit 2**(2**n)-1-F is F's value at p, is a periodic
+    bit pattern. The columns go through lane_gap_codes' core in 1-bit
+    lanes, minors (i, j) on the diagonals of pairs i < j, and each plane
+    is widened to one byte per function once, one plane at a time.
+
+    Raises ValueError for a negative or non-int n, and
+    EnumerationBudgetError, before building anything, when the
+    2**(2**n) functions exceed DEFAULT_BUDGET.
+    """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("arity must be a nonnegative int")
+    # 2**points > DEFAULT_BUDGET exactly when points >= limit; decided
+    # from n first, so that a large n builds no large integer.
+    limit = DEFAULT_BUDGET.bit_length()
+    if n >= limit.bit_length() or 1 << n >= limit:
+        raise EnumerationBudgetError(
+            f"2**(2**{n}) functions exceed the budget of {DEFAULT_BUDGET}")
+    points = 1 << n
+    total = 1 << points
+    # Read from the top, column p runs through blocks of total >> (p + 1)
+    # zeros and ones; XOR with itself shifted by half a block halves them.
+    columns = [(1 << total // 2) - 1]
+    for p in range(1, points):
+        columns.append(columns[-1] ^ columns[-1] << (total >> (p + 1)))
+    ess, code_planes = _gap_planes((2,) * n, columns, (1 << total) - 1, ())
+    del columns
+    digits = f"0{total}b"
+
+    def widened(planes: Iterable[int]) -> Iterator[int]:
+        return (int.from_bytes(format(plane, digits).encode().translate(_DIGIT_VALUES), "big")
+                for plane in planes)
+
+    return _lane_bytes(widened(ess), widened(code_planes), total, 1)
 
 
 def _lane_total(sizes: tuple[int, ...]) -> int:
@@ -521,11 +523,10 @@ def lane_gap_codes(sizes: Sequence[int], columns: Sequence[bytes]) -> tuple[byte
     boolean_gap_codes gives them: 0 below two essential positions (gap
     undefined), 1, 2, or 3 for a gap of 3 or more.
 
-    A minor (i, j) is read on the diagonal points, where digits i and j
-    are equal, as a table of the shape without position i; both orders
-    of a pair give one minor up to renaming. Per pair, "lost one" and
-    "lost two" mark the lanes whose minor drops one, or two, essential
-    positions besides i.
+    The columns go through the core that boolean_gap_codes shares, in
+    byte lanes. A minor (i, j), i < j, is read on the diagonal points,
+    where digits i and j are equal, as a table of the shape without
+    position i; both orders of a pair give one minor up to renaming.
 
     Raises ValueError for a size that is not an int of at least 2, for
     positions of more than one alphabet size and for columns that are
@@ -537,35 +538,9 @@ def lane_gap_codes(sizes: Sequence[int], columns: Sequence[bytes]) -> tuple[byte
     if len(columns) != total or len(set(map(len, columns))) > 1:
         raise ValueError(f"need {total} columns of one length")
     count = len(columns[0])
-    columns = [int.from_bytes(column, "big") for column in columns]
-    ones = int.from_bytes(b"\x01" * count, "big")
-    pairs, diagonals = _lane_plan(sizes)
-    ess = _lane_planes(columns, pairs, ones)
-    seen = analysed = gap1 = at_most2 = 0
-    for plane in ess:
-        analysed |= seen & plane
-        seen |= plane
-    for (i, j), points in zip(itertools.combinations(range(len(sizes)), 2), diagonals):
-        both = ess[i] & ess[j]
-        if not both:
-            continue
-        minor = _lane_planes(list(map(columns.__getitem__, points)),
-                             _lane_plan(sizes[1:])[0], ones)
-        lost_one = lost_two = 0
-        for k, plane in enumerate(ess):
-            if k != i:
-                lost = plane & ~minor[k - (k > i)]
-                lost_two |= lost_one & lost
-                lost_one |= lost
-        gap1 |= both & ~lost_one
-        at_most2 |= both & ~lost_two
-    width = max(1, -(-len(sizes) // 8))
-    masks = bytearray(count * width)
-    for b in range(width):
-        masks[b::width] = sum(plane << k for k, plane in enumerate(ess[8 * b:8 * b + 8])
-                              ).to_bytes(count, "big")
-    codes = analysed + (analysed & ~gap1) + (analysed & ~at_most2)
-    return bytes(masks), codes.to_bytes(count, "big")
+    ess, code_planes = _gap_planes(sizes, [int.from_bytes(column, "big") for column in columns],
+                                   int.from_bytes(b"\x01" * count, "big"), (4, 2, 1))
+    return _lane_bytes(ess, code_planes, count, max(1, -(-len(sizes) // 8)))
 
 
 def table_gap_codes(sizes: Sequence[int], tables: Sequence[bytes]) -> tuple[bytes, bytes]:
@@ -642,6 +617,18 @@ def enumerate_monotone_maps(n: int, lattice: "Lattice") -> Iterator[tuple[int, .
     return maps()
 
 
+def _power_within_budget(base: int, exponent: int) -> int | None:
+    # base**exponent for a base of at least 2, or None once it passes
+    # DEFAULT_BUDGET: multiplied up with an early exit, so that a large
+    # exponent never builds a large integer.
+    power = 1
+    for _ in range(exponent):
+        power *= base
+        if power > DEFAULT_BUDGET:
+            return None
+    return power
+
+
 def enumerate_all_functions(n: int, a: int, b: int) -> Iterator[FiniteFn]:
     """Yield all b**(a**n) functions from {0..a-1}^n to {0..b-1}.
 
@@ -662,19 +649,10 @@ def enumerate_all_functions(n: int, a: int, b: int) -> Iterator[FiniteFn]:
         raise ValueError("arity must be a nonnegative int")
     if a < 2 or b < 2:
         raise ValueError("alphabet sizes must be at least 2")
-    # b**(a**n) multiplied up with an early exit, so that a large n
-    # never builds a large integer.
-    points = 1
-    for _ in range(n):
-        points *= a
-        if points > DEFAULT_BUDGET:
-            break
-    total = 1
-    for _ in range(points):
-        total *= b
-        if total > DEFAULT_BUDGET:
-            raise EnumerationBudgetError(
-                f"{b}**({a}**{n}) functions exceed the budget of {DEFAULT_BUDGET}")
+    points = _power_within_budget(a, n)
+    if points is None or _power_within_budget(b, points) is None:
+        raise EnumerationBudgetError(
+            f"{b}**({a}**{n}) functions exceed the budget of {DEFAULT_BUDGET}")
     sizes = (a,) * n
     return (_proven_finfun(sizes, b, bytes(tab))
             for tab in itertools.product(range(b), repeat=points))
@@ -695,14 +673,10 @@ def parse_finite_fn(text: str) -> FiniteFn:
     if n < 1 or a < 2 or b < 2:
         raise ValueError(f"bad header values arity={n} a_size={a} b_size={b}")
     _check_codomain(b)
-    # Multiplied up with an early exit, so a huge header never becomes a
-    # huge integer.
-    points = 1
-    for _ in range(n):
-        points *= a
-        if points > DEFAULT_BUDGET:
-            raise ValueError(f"header arity={n} a_size={a} b_size={b} asks for more "
-                             f"than {DEFAULT_BUDGET} values")
+    points = _power_within_budget(a, n)
+    if points is None:
+        raise ValueError(f"header arity={n} a_size={a} b_size={b} asks for more "
+                         f"than {DEFAULT_BUDGET} values")
     body = tokens[3:]
     if len(body) != points:
         raise ValueError(f"expected {points} values, got {len(body)}")

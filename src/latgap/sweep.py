@@ -7,10 +7,11 @@ essential variables) and a counterexample (None when classifier and
 oracle agree on the gap and the essential positions). The first
 counterexample stops the sweep.
 
-The Boolean sweep takes the oracle's answers for the whole domain at
-once from the bit-sliced `boolean_gap_codes` and still runs the library
-classifier on every function, which reads its verdict off the integer
-of Zhegalkin coefficients. The functions come from
+The two table sweeps share one check. The Boolean sweep takes the
+oracle's answers for the whole domain at once from the bit-sliced
+`boolean_gap_codes`; the pseudo-Boolean sweep takes them from the
+byte-lane `table_gap_codes`, a chunk at a time. Both still run the
+library classifier on every function. The functions come from
 `enumerate_all_functions`, which checks its arguments once and builds
 each table valid by construction, with no per-function re-check. The
 classifier's essential positions are compared with a sorted tuple per
@@ -19,9 +20,10 @@ the counterexample comes from the per-function pair; only when that
 replay sides with the classifier does it also name the batch answer
 (`batch_gap`, `batch_essential`).
 
-The gap-theorem sweep draws the monotone maps in chunks of 1, 2, 4, ...
-up to CHUNK_MAPS maps and CHUNK_BYTES, so a sweep that stops at map s
-has built fewer than 2s maps. `polyfn.value_columns` builds a chunk's
+Chunked sweeps draw their items in chunks of 1, 2, 4, ... up to
+CHUNK_MAPS, so a sweep that stops at item s has drawn fewer than 2s.
+The gap-theorem sweep also caps a chunk by CHUNK_BYTES.
+`polyfn.value_columns` builds a chunk's
 coefficient and value tables in columns, one byte per map, for the
 byte-lane oracle `lane_gap_codes`; the coefficient columns are the
 0/1-point restrictions. A map the lane answers disagree on is replayed
@@ -42,7 +44,7 @@ from .classify import (classify_boolean_gap, classify_polynomial_gap,
                        classify_pseudo_boolean_gap)
 from .finfun import (FiniteFn, GapReport, _ess_scan, _gap_search, boolean_gap_codes,
                      enumerate_all_functions, enumerate_monotone_maps, gap_bruteforce,
-                     lane_gap_codes)
+                     lane_gap_codes, table_gap_codes)
 from .lattice import Lattice
 from .polyfn import PolyFn, value_columns, value_table
 
@@ -119,18 +121,39 @@ def _both_answers(verdict, report: GapReport) -> dict:
             "oracle_essential": sorted(report.essential)}
 
 
-def _table_check(classify: Callable[[FiniteFn], object],
-                 render: Callable[[bytes], object]) -> Callable[[FiniteFn], Outcome]:
-    def check(f: FiniteFn) -> Outcome:
-        verdict, report = classify(f), gap_bruteforce(f)
-        if _agree(verdict, report):
-            return report.gap, None
-        return report.gap, {"table": render(f.table), **_both_answers(verdict, report)}
-    return check
+def _ramp(items: Iterator, most: int, lanes: Callable[[list], Iterable]) -> Iterator:
+    # What `lanes` makes of the items, drawn in lists of 1, 2, 4, ... up
+    # to `most`, so a sweep that stops at item s has drawn fewer than 2s.
+    size = 1
+    while batch := list(itertools.islice(items, size)):
+        yield from lanes(batch)
+        size = min(2 * size, most)
 
 
-# The gap that boolean_gap_codes' code stands for; 3 means 3 or more.
+# The gap that a batch gap code stands for; 3 means 3 or more.
 _CODE_GAPS = (None, 1, 2, 3)
+
+
+def _table_check(classify: Callable[[FiniteFn], object], render: Callable[[bytes], object],
+                 arity: int) -> Callable[[tuple[FiniteFn, int, int]], Outcome]:
+    # Checks a function against its batch mask and gap code; a batch
+    # gap code of 3 is always a disagreement. Per mask, the sorted
+    # positions, as a verdict's `essential` lists them.
+    positions = [tuple(k + 1 for k in range(arity) if (mask >> k) & 1)
+                 for mask in range(1 << arity)]
+
+    def check(item: tuple[FiniteFn, int, int]) -> Outcome:
+        f, mask, code = item
+        verdict = classify(f)
+        gap = _CODE_GAPS[code]
+        if verdict.gap == gap and gap != 3 and verdict.essential == positions[mask]:
+            return gap, None
+        report = gap_bruteforce(f)
+        found = {"table": render(f.table), **_both_answers(verdict, report)}
+        if _agree(verdict, report):
+            found.update(batch_gap=gap, batch_essential=list(positions[mask]))
+        return report.gap, found
+    return check
 
 
 def sweep_boolean(arity: int) -> SweepReport:
@@ -139,34 +162,23 @@ def sweep_boolean(arity: int) -> SweepReport:
     disagreement. A batch gap code of 3 is always a disagreement."""
     functions = enumerate_all_functions(arity, 2, 2)
     masks, codes = boolean_gap_codes(arity)
-    # Per essential-position mask, the sorted positions, as a verdict's
-    # `essential` lists them.
-    positions = [tuple(k + 1 for k in range(arity) if (mask >> k) & 1)
-                 for mask in range(1 << arity)]
-
-    def check(item: tuple[FiniteFn, int, int]) -> Outcome:
-        f, mask, code = item
-        verdict = classify_boolean_gap(f)
-        gap = _CODE_GAPS[code]
-        if verdict.gap == gap and gap != 3 and verdict.essential == positions[mask]:
-            return gap, None
-        report = gap_bruteforce(f)
-        found = {"table": "".join(map(str, f.table)), **_both_answers(verdict, report)}
-        if _agree(verdict, report):
-            found.update(batch_gap=gap, batch_essential=list(positions[mask]))
-        return report.gap, found
-
+    check = _table_check(classify_boolean_gap, lambda table: "".join(map(str, table)), arity)
     return _sweep("boolean", {"arity": arity}, "scanned",
                   zip(functions, masks, codes), check)
 
 
 def sweep_pseudo_boolean(arity: int, codomain: int) -> SweepReport:
-    """classify_pseudo_boolean_gap against gap_bruteforce on every
-    function {0,1}^arity -> {0..codomain-1}. Both see the whole table
-    and each finds the essential positions its own way."""
-    check = _table_check(classify_pseudo_boolean_gap, list)
-    return _sweep("pseudo-boolean", {"arity": arity, "codomain": codomain},
-                  "scanned", enumerate_all_functions(arity, 2, codomain), check)
+    """classify_pseudo_boolean_gap against the byte-lane oracle on every
+    function {0,1}^arity -> {0..codomain-1}, with gap_bruteforce
+    replaying any disagreement. Both see the whole table and each finds
+    the essential positions its own way."""
+    functions = enumerate_all_functions(arity, 2, codomain)
+    sizes = (2,) * arity
+    # Within the budget the arity is at most 4, so a mask is one byte.
+    items = _ramp(functions, CHUNK_MAPS, lambda batch: zip(
+        batch, *table_gap_codes(sizes, [f.table for f in batch])))
+    return _sweep("pseudo-boolean", {"arity": arity, "codomain": codomain}, "scanned",
+                  items, _table_check(classify_pseudo_boolean_gap, list, arity))
 
 
 def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
@@ -196,12 +208,6 @@ def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
         return [(f, masks[k * width:(k + 1) * width], codes[k],
                  restricted[k * width:(k + 1) * width]) for k, f in enumerate(fns)]
 
-    def chunks() -> Iterator[tuple[PolyFn, bytes, int, bytes]]:
-        size = 1
-        while batch := list(itertools.islice(maps, size)):
-            yield from lanes(batch)
-            size = min(2 * size, most)
-
     def check(item: tuple[PolyFn, bytes, int, bytes]) -> Outcome:
         f, mask, code, restricted = item
         verdict = classify_polynomial_gap(f)
@@ -218,4 +224,4 @@ def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
         return report.gap, found
 
     return _sweep("gap-theorem", {"lattice": name, "size": lattice.size, "arity": arity},
-                  "monotone_maps", chunks(), check)
+                  "monotone_maps", _ramp(maps, most, lanes), check)

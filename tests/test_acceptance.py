@@ -17,7 +17,7 @@ from functools import lru_cache
 import pytest
 
 from latgap import (EnumerationBudgetError, PolyFn, builtin_lattice, canonicalize, chain,
-                    enumerate_monotone_maps, gap_bruteforce,
+                    enumerate_all_functions, enumerate_monotone_maps, gap_bruteforce,
                     product, salomaa_function, value_table)
 from latgap.finfun import lane_gap_codes
 from latgap.sweep import sweep_boolean, sweep_gap_theorem, sweep_pseudo_boolean
@@ -111,19 +111,21 @@ def test_criterion_2_pseudo_boolean_sweep_matches_oracle():
 
 
 def test_pseudo_boolean_sweep_scans_each_function_once(monkeypatch):
-    # The classifier's reduction reuses the essential positions the
-    # oracle found: one scan per function (6561) plus one per minor the
-    # oracle builds (8244), and no rescan of the 6540 analysed ones.
-    # Every essentiality scan, of a table or of a minor, runs through
-    # finfun._essential.
+    # The byte-lane oracle reads each table once, in enumeration order,
+    # and an agreeing sweep replays none through the per-function scans,
+    # which all run through finfun._essential.
     import latgap.finfun as finfun
-    calls = []
-    scan = finfun._essential
+    import latgap.sweep as sweep
+    calls, tables = [], []
+    scan, lanes = finfun._essential, sweep.table_gap_codes
     monkeypatch.setattr(finfun, "_essential",
                         lambda t, plan: calls.append(t) or scan(t, plan))
+    monkeypatch.setattr(sweep, "table_gap_codes",
+                        lambda sizes, chunk: tables.extend(chunk) or lanes(sizes, chunk))
     report = sweep_pseudo_boolean(3, 3)
     assert report.ok and report.analyzed == 6540
-    assert len(calls) == 14805
+    assert calls == []
+    assert tables == [f.table for f in enumerate_all_functions(3, 2, 3)]
 
 
 def test_gap_theorem_sweep_scans_each_map_once(monkeypatch):

@@ -530,6 +530,55 @@ def test_boolean_sweep_rejects_a_batch_gap_of_three(capsys, monkeypatch):
         "essential": [1, 2], "oracle_essential": [1, 2]}
 
 
+PSEUDO_BOOLEAN = ["verify", "pseudo-boolean", "--arity", "2", "--codomain", "3"]
+
+
+def test_pseudo_boolean_sweep_names_a_wrong_batch_oracle(capsys, monkeypatch):
+    # The classifier and gap_bruteforce agree on exclusive or, the 13th
+    # table, so the counterexample blames the byte-lane answers.
+    import latgap.sweep as sweep
+    real = sweep.table_gap_codes
+    xor = bytes([0, 1, 1, 0])
+
+    def flipped(sizes, tables):
+        masks, codes = real(sizes, tables)
+        return masks, bytes(1 if table == xor else code for table, code in zip(tables, codes))
+
+    monkeypatch.setattr(sweep, "table_gap_codes", flipped)
+    rc, payload, _ = run_json(capsys, PSEUDO_BOOLEAN)
+    assert (rc, payload["ok"], payload["scanned"]) == (2, False, 13)
+    assert payload["counterexample"] == {
+        "table": [0, 1, 1, 0], "classifier_gap": 2, "oracle_gap": 2,
+        "essential": [1, 2], "oracle_essential": [1, 2],
+        "batch_gap": 1, "batch_essential": [1, 2]}
+    rc, out, _ = run(capsys, PSEUDO_BOOLEAN)
+    assert rc == 2 and '"batch_gap": 1' in out and out.endswith("result: DISAGREEMENT\n")
+
+
+def test_pseudo_boolean_sweep_rejects_a_batch_gap_of_three(capsys, monkeypatch):
+    # A batch gap code of 3 is a disagreement even when the classifier
+    # reports the same gap; the replay then shows the true gap.
+    import latgap.sweep as sweep
+    real, classify = sweep.table_gap_codes, sweep.classify_pseudo_boolean_gap
+
+    def three(sizes, tables):
+        masks, codes = real(sizes, tables)
+        return masks, codes.replace(b"\x02", b"\x03")
+
+    def classifier(f):
+        verdict = classify(f)
+        return verdict if verdict.gap != 2 else SimpleNamespace(
+            gap=3, essential=verdict.essential)
+
+    monkeypatch.setattr(sweep, "table_gap_codes", three)
+    monkeypatch.setattr(sweep, "classify_pseudo_boolean_gap", classifier)
+    rc, payload, _ = run_json(capsys, PSEUDO_BOOLEAN)
+    assert (rc, payload["ok"], payload["scanned"]) == (2, False, 4)
+    assert payload["counterexample"] == {
+        "table": [0, 0, 1, 0], "classifier_gap": 3, "oracle_gap": 2,
+        "essential": [1, 2], "oracle_essential": [1, 2]}
+
+
 def test_argparse_exits_are_remapped(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -337,8 +337,9 @@ def test_table_gap_codes_match_the_oracle_on_monotone_maps():
 def test_table_gap_codes_match_the_oracle_on_seeded_tables():
     # Tables that are not monotone, over alphabets of 2 to 5 letters and
     # arities 0 to 4, each depending on a random set of positions with a
-    # random density of changes, in chunks of 1 to 40 tables; and a
-    # 9-ary shape, whose masks take two bytes each.
+    # random density of changes, in chunks of 1 to 40 tables; a 9-ary
+    # shape, whose masks take two bytes each; and every function
+    # {0,1}^n -> 3 for n = 2, 3, as the pseudo-Boolean sweep reads them.
     rng = random.Random(2107)
     for a, n in itertools.product(range(2, 6), range(5)):
         sizes = (a,) * n
@@ -361,6 +362,8 @@ def test_table_gap_codes_match_the_oracle_on_seeded_tables():
     parity = bytes((p ^ p >> 8) & 1 for p in range(1 << 9))
     assert_lanes_match_oracle((2,) * 9, [parity, bytes(1 << 9), bytes(range(256)) * 2])
     assert table_gap_codes((2,) * 9, [parity]) == (bytes([1, 1]), bytes([2]))
+    for n in (2, 3):
+        assert_lanes_match_oracle((2,) * n, [f.table for f in enumerate_all_functions(n, 2, 3)])
 
 
 def test_table_gap_codes_on_all_distinct_arguments():
