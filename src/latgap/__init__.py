@@ -18,8 +18,7 @@ from .finfun import (DEFAULT_BUDGET, EnumerationBudgetError, FiniteFn,
                      identify_table, parse_finite_fn, point_index,
                      salomaa_function, table_gap_codes)
 from .lattice import (Elem, Lattice, LatticeError, boolean_cube, builtin_lattice,
-                      chain, format_lattice, lattice_from_covers, parse_lattice,
-                      product)
+                      chain, lattice_from_covers, parse_lattice, product)
 from .polyfn import (MAX_ARITY, MonotonicityError, PolyFn, canonicalize,
                      equivalent, essential_variables, identify,
                      reduce_to_essential, simple_substitution,

@@ -37,7 +37,7 @@ from typing import Iterator
 
 from .finfun import FiniteFn
 from .lattice import Elem
-from .polyfn import PolyFn, essential_variables
+from .polyfn import PolyFn, _jump_plan, _jump_positions
 
 
 @dataclass(frozen=True)
@@ -83,33 +83,17 @@ _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _lower_halves(n: int) -> tuple[int, ...]:
-    # Mask k has bit p set, over 2**n bits, exactly when bit k of p is
-    # clear; built by doubling.
-    total = 1 << n
-    masks = []
-    for k in range(n):
-        block = 1 << k
-        mask = (1 << block) - 1
-        width = 2 * block
-        while width < total:
-            mask |= mask << width
-            width *= 2
-        masks.append(mask)
-    return tuple(masks)
-
-
 @functools.lru_cache(maxsize=32)
 def _anf_plan(n: int) -> tuple[tuple[tuple[int, int], ...],
                                tuple[tuple[int, int], ...], int]:
-    # Over 2**n bits: the Moebius steps (lower half k and its shift
-    # 2**k); per position k + 1, the monomials containing it (the
-    # complement of lower half k); and the nonlinear monomials, those
-    # of at least two variables.
+    # Over 2**n bits, from _jump_plan: the Moebius steps (the mask of
+    # the monomials without position k, and its shift 2**(k-1)); per
+    # position k, the monomials containing it (that mask's complement);
+    # and the nonlinear monomials, those of at least two variables.
     full = (1 << (1 << n)) - 1
-    halves = _lower_halves(n)
-    steps = tuple((mask, 1 << k) for k, mask in enumerate(halves))
-    uppers = tuple((k, full ^ mask) for k, mask in enumerate(halves, 1))
+    plan = _jump_plan(n, 1)
+    steps = tuple((mask, shift) for _, shift, mask in plan)
+    uppers = tuple((k, full ^ mask) for k, _, mask in plan)
     nonlinear = full ^ 1 ^ sum(1 << (1 << k) for k in range(n))
     return steps, uppers, nonlinear
 
@@ -323,7 +307,7 @@ def classify_pseudo_boolean_gap(f: FiniteFn) -> GapUndefined | Gap1 | PseudoBool
     """
     if any(a != 2 for a in f.sizes):
         raise ValueError("the domain must be {0,1}^n")
-    ess = tuple(sorted(essential_variables(f)))
+    ess = _jump_positions(f)
     if len(ess) < 2:
         return GapUndefined(ess)
 
@@ -360,7 +344,7 @@ def classify_polynomial_gap(f: PolyFn) -> GapUndefined | Gap1 | TruncatedMedian:
     essential positions decide. low < high follows: the table is
     monotone and not constant.
     """
-    ess = tuple(sorted(essential_variables(f)))
+    ess = _jump_positions(f)
     if len(ess) < 2:
         return GapUndefined(ess)
     if len(ess) == 3:

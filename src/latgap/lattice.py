@@ -140,11 +140,6 @@ class Lattice:
             raise LatticeError(f"{x!r} is not an element of this lattice")
         return x.index
 
-    def leq(self, x: Elem, y: Elem) -> bool:
-        i = self.require_member(x)
-        j = self.require_member(y)
-        return bool((self._up[i] >> j) & 1)
-
     def meet(self, x: Elem, y: Elem) -> Elem:
         return self._elems[self._meet[self.require_member(x)][self.require_member(y)]]
 
@@ -393,11 +388,3 @@ def parse_lattice(text: str) -> Lattice:
     if names is None:
         raise LatticeError("missing 'elements:' header")
     return lattice_from_covers(names, covers)
-
-
-def format_lattice(lat: Lattice) -> str:
-    """Canonical text for a lattice; parse_lattice inverts this exactly."""
-    lines = ["elements: " + " ".join(lat.names)]
-    for i, j in lat.covers:
-        lines.append(f"{lat.names[i]} < {lat.names[j]}")
-    return "\n".join(lines) + "\n"

@@ -1,39 +1,30 @@
 """Exhaustive classifier-against-oracle sweeps, for the CLI and the tests.
 
-One driver loop feeds every item of a domain to that domain's check,
-which runs the classifier and the oracle on it and returns the oracle's
-gap (None, counted as skipped, for an item with fewer than two
-essential variables) and a counterexample (None when classifier and
-oracle agree on the gap and the essential positions). The first
-counterexample stops the sweep.
+One loop, `_sweep`, takes each domain a chunk at a time, 1, 2, 4, ...
+up to CHUNK_MAPS functions, so a sweep that stops at item s has drawn
+fewer than 2s. Per chunk it runs the classifier once on every
+function and codes the verdicts as the batch oracle codes its answers
+(mask and gap code bytes, and for the gap-theorem sweep the 0/1-point
+masks), so one comparison decides the chunk. An agreeing chunk adds
+its gap codes to the histogram, None counted as skipped. Only a chunk
+that differs is walked, function by function, through its sweep's
+check on the verdicts already made; the first counterexample stops
+the sweep. The check replays the function through a per-function
+oracle, and only when that replay sides with the classifier does the
+counterexample also name the batch answer (`batch_gap`,
+`batch_essential`).
 
-The two table sweeps share one check. The Boolean sweep takes the
-oracle's answers for the whole domain at once from the bit-sliced
-`boolean_gap_codes`; the pseudo-Boolean sweep takes them from the
-byte-lane `table_gap_codes`, a chunk at a time. Both still run the
-library classifier on every function. The functions come from
-`enumerate_all_functions`, which checks its arguments once and builds
-each table valid by construction, with no per-function re-check. The
-classifier's essential positions are compared with a sorted tuple per
-batch mask. A disagreement is replayed through `gap_bruteforce`, so
-the counterexample comes from the per-function pair; only when that
-replay sides with the classifier does it also name the batch answer
-(`batch_gap`, `batch_essential`).
-
-Chunked sweeps draw their items in chunks of 1, 2, 4, ... up to
-CHUNK_MAPS, so a sweep that stops at item s has drawn fewer than 2s.
-The gap-theorem sweep also caps a chunk by CHUNK_BYTES.
-`polyfn.value_columns` builds a chunk's
-coefficient and value tables in columns, one byte per map, for the
-byte-lane oracle `lane_gap_codes`; the coefficient columns are the
-0/1-point restrictions. A map the lane answers disagree on is replayed
-through `_gap_search`, on its own value_table, and `_ess_scan`. No
-state outlives a sweep.
+The Boolean sweep slices its answers from `boolean_gap_codes`, made
+once for the whole domain; the pseudo-Boolean sweep asks
+`table_gap_codes` per chunk, and both replay through `gap_bruteforce`.
+The gap-theorem sweep also caps a chunk by CHUNK_BYTES: there
+`polyfn.value_columns` builds the coefficient and value columns for
+`lane_gap_codes`, and a map is replayed through `_gap_search` and
+`_ess_scan`. No state outlives a sweep.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import time
@@ -42,7 +33,7 @@ from typing import Callable, Iterable, Iterator
 
 from .classify import (classify_boolean_gap, classify_polynomial_gap,
                        classify_pseudo_boolean_gap)
-from .finfun import (FiniteFn, GapReport, _ess_scan, _gap_search, boolean_gap_codes,
+from .finfun import (_ess_scan, _gap_search, boolean_gap_codes,
                      enumerate_all_functions, enumerate_monotone_maps, gap_bruteforce,
                      lane_gap_codes, table_gap_codes)
 from .lattice import Lattice
@@ -51,10 +42,11 @@ from .polyfn import PolyFn, value_columns, value_table
 Outcome = tuple[int | None, dict | None]
 
 # A gap-theorem chunk of m maps over E = |L|^n points peaks at about
-# (4E + 16 * 2^n) * m + 100 * (E + 2^n) bytes, which CHUNK_BYTES bounds:
-# the last value pass, the maps' tuples, and the columns as bytes and as
-# ints, one per point and one per coefficient. Smaller chunks run slower.
-CHUNK_MAPS = 256
+# (4E + 16 * 2^n + 256) * m + 100 * (E + 2^n) bytes, which CHUNK_BYTES
+# bounds: the last value pass, the maps' tuples and PolyFns, and the
+# columns as bytes and as ints, one per point and one per coefficient.
+# Its verdicts (100-250 bytes a map) come once the columns are gone.
+CHUNK_MAPS = 1024
 CHUNK_BYTES = 16 << 20
 
 
@@ -93,65 +85,100 @@ class SweepReport:
         return "\n".join(lines)
 
 
-def _sweep(kind: str, params: dict, scanned_key: str, items: Iterable,
-           check: Callable[..., Outcome]) -> SweepReport:
+class _Masks(dict):
+    # The batch mask bytes of each sorted tuple of positions in 1..arity,
+    # filled as met; any other tuple gets b"", which matches no chunk.
+    def __init__(self, arity: int):
+        super().__init__()
+        self.arity, self.width = arity, max(1, -(-arity // 8))
+
+    def __missing__(self, essential) -> bytes:
+        try:
+            mask = sum(1 << p - 1 for p in essential)
+        except (TypeError, ValueError):  # a position that is not a positive int
+            mask = -1
+        found = mask.to_bytes(self.width, "little") if 0 <= mask < 1 << self.arity else b""
+        self[essential] = found = found if _positions(found) == essential else b""
+        return found
+
+
+# The batch gap code of each gap a verdict may give; any other is coded
+# 4, which no oracle writes, and an oracle code of 3 matches no verdict.
+_GAP_CODES = {None: 0, 1: 1, 2: 2}
+
+
+def _sweep(kind: str, params: dict, scanned_key: str, arity: int, chunks: Iterable[tuple],
+           classify: Callable, check: Callable[..., Outcome]) -> SweepReport:
+    # `chunks` yields functions with their batch masks, gap codes and
+    # 0/1 masks (or None); `check` walks a chunk that does not agree.
     start = time.perf_counter()
     scanned = 0
     gap_counts = {None: 0, 1: 0, 2: 0}  # None counts the skipped items
     counterexample = None
-    for item in items:
-        scanned += 1
-        gap, counterexample = check(item)
-        if counterexample is not None:
-            break
-        gap_counts[gap] += 1
+    masks_of = _Masks(arity)
+    width = masks_of.width
+    for functions, masks, codes, restricted in chunks:
+        verdicts = list(map(classify, functions))
+        if (bytes([_GAP_CODES.get(v.gap, 4) for v in verdicts]) == codes
+                and b"".join([masks_of[v.essential] for v in verdicts]) == masks
+                and restricted in (None, masks)):
+            scanned += len(verdicts)
+            for gap, code in _GAP_CODES.items():
+                gap_counts[gap] += codes.count(code)
+        else:
+            for k, (f, verdict) in enumerate(zip(functions, verdicts)):
+                scanned += 1
+                cut = slice(k * width, (k + 1) * width)
+                gap, counterexample = check(f, verdict, masks[cut], codes[k],
+                                            restricted and restricted[cut])
+                if counterexample is not None:
+                    break
+                gap_counts[gap] += 1
+            if counterexample is not None:
+                break
+        del functions, verdicts  # before the next chunk is built
     skipped = gap_counts.pop(None)
     return SweepReport(kind, params, scanned_key, scanned, scanned - skipped,
                        gap_counts, time.perf_counter() - start, counterexample)
 
 
-def _agree(verdict, report: GapReport) -> bool:
-    return (verdict.gap == report.gap and report.gap in (None, 1, 2)
-            and frozenset(verdict.essential) == report.essential)
+def _positions(mask: bytes) -> tuple[int, ...]:
+    # The positions a batch mask marks, sorted as a verdict lists them.
+    bits = int.from_bytes(mask, "little")
+    return tuple(k for k in range(1, 8 * len(mask) + 1) if (bits >> (k - 1)) & 1)
 
 
-def _both_answers(verdict, report: GapReport) -> dict:
-    return {"classifier_gap": verdict.gap, "oracle_gap": report.gap,
-            "essential": list(verdict.essential),
-            "oracle_essential": sorted(report.essential)}
-
-
-def _ramp(items: Iterator, most: int, lanes: Callable[[list], Iterable]) -> Iterator:
-    # What `lanes` makes of the items, drawn in lists of 1, 2, 4, ... up
+def _ramp(items: Iterator, most: int, lanes: Callable[[list], tuple]) -> Iterator[tuple]:
+    # What `lanes` makes of each list of items drawn, of 1, 2, 4, ... up
     # to `most`, so a sweep that stops at item s has drawn fewer than 2s.
     size = 1
     while batch := list(itertools.islice(items, size)):
-        yield from lanes(batch)
+        yield lanes(batch)
         size = min(2 * size, most)
 
 
-# The gap that a batch gap code stands for; 3 means 3 or more.
-_CODE_GAPS = (None, 1, 2, 3)
-
-
-def _table_check(classify: Callable[[FiniteFn], object], render: Callable[[bytes], object],
-                 arity: int) -> Callable[[tuple[FiniteFn, int, int]], Outcome]:
-    # Checks a function against its batch mask and gap code; a batch
-    # gap code of 3 is always a disagreement. Per mask, the sorted
-    # positions, as a verdict's `essential` lists them.
-    positions = [tuple(k + 1 for k in range(arity) if (mask >> k) & 1)
-                 for mask in range(1 << arity)]
-
-    def check(item: tuple[FiniteFn, int, int]) -> Outcome:
-        f, mask, code = item
-        verdict = classify(f)
-        gap = _CODE_GAPS[code]
-        if verdict.gap == gap and gap != 3 and verdict.essential == positions[mask]:
+def _check(replay: Callable) -> Callable[..., Outcome]:
+    # Checks a verdict against its batch mask, gap code (3 never agrees)
+    # and 0/1 mask or None. `replay(f)` gives the per-function oracle's
+    # report, the counterexample's first entry and, on a gap-theorem
+    # map, the 0/1-point essential positions.
+    def check(f, verdict, mask: bytes, code: int, restricted: bytes | None) -> Outcome:
+        gap = (None, 1, 2, 3)[code]  # the gap a batch code stands for; 3 or more
+        if (verdict.gap == gap and gap != 3 and verdict.essential == _positions(mask)
+                and restricted in (None, mask)):
             return gap, None
-        report = gap_bruteforce(f)
-        found = {"table": render(f.table), **_both_answers(verdict, report)}
-        if _agree(verdict, report):
-            found.update(batch_gap=gap, batch_essential=list(positions[mask]))
+        report, found, ess01 = replay(f)
+        found.update(classifier_gap=verdict.gap, oracle_gap=report.gap,
+                     essential=list(verdict.essential),
+                     oracle_essential=sorted(report.essential))
+        batch = {"batch_gap": gap, "batch_essential": list(_positions(mask))}
+        if ess01 is not None:
+            found["restricted_essential"] = sorted(ess01)
+            batch["batch_restricted_essential"] = list(_positions(restricted))
+        if (verdict.gap == report.gap and report.gap in (None, 1, 2)
+                and frozenset(verdict.essential) == report.essential
+                and ess01 in (None, report.essential)):
+            found.update(batch)
         return report.gap, found
     return check
 
@@ -161,10 +188,13 @@ def sweep_boolean(arity: int) -> SweepReport:
     function of the given arity, with gap_bruteforce replaying any
     disagreement. A batch gap code of 3 is always a disagreement."""
     functions = enumerate_all_functions(arity, 2, 2)
-    masks, codes = boolean_gap_codes(arity)
-    check = _table_check(classify_boolean_gap, lambda table: "".join(map(str, table)), arity)
-    return _sweep("boolean", {"arity": arity}, "scanned",
-                  zip(functions, masks, codes), check)
+    masks, codes = map(iter, boolean_gap_codes(arity))
+    chunks = _ramp(functions, CHUNK_MAPS, lambda batch: (
+        batch, bytes(itertools.islice(masks, len(batch))),
+        bytes(itertools.islice(codes, len(batch))), None))
+    return _sweep("boolean", {"arity": arity}, "scanned", arity, chunks, classify_boolean_gap,
+                  _check(lambda f: (gap_bruteforce(f), {"table": "".join(map(str, f.table))},
+                                    None)))
 
 
 def sweep_pseudo_boolean(arity: int, codomain: int) -> SweepReport:
@@ -173,12 +203,11 @@ def sweep_pseudo_boolean(arity: int, codomain: int) -> SweepReport:
     replaying any disagreement. Both see the whole table and each finds
     the essential positions its own way."""
     functions = enumerate_all_functions(arity, 2, codomain)
-    sizes = (2,) * arity
-    # Within the budget the arity is at most 4, so a mask is one byte.
-    items = _ramp(functions, CHUNK_MAPS, lambda batch: zip(
-        batch, *table_gap_codes(sizes, [f.table for f in batch])))
-    return _sweep("pseudo-boolean", {"arity": arity, "codomain": codomain}, "scanned",
-                  items, _table_check(classify_pseudo_boolean_gap, list, arity))
+    chunks = _ramp(functions, CHUNK_MAPS, lambda batch: (
+        batch, *table_gap_codes((2,) * arity, [f.table for f in batch]), None))
+    return _sweep("pseudo-boolean", {"arity": arity, "codomain": codomain}, "scanned", arity,
+                  chunks, classify_pseudo_boolean_gap,
+                  _check(lambda f: (gap_bruteforce(f), {"table": list(f.table)}, None)))
 
 
 def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
@@ -191,37 +220,15 @@ def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
     maps = enumerate_monotone_maps(arity, lattice)
     points, subsets = lattice.size ** arity, 1 << arity
     most = max(1, min(CHUNK_MAPS, (CHUNK_BYTES - 100 * (points + subsets))
-                      // (4 * points + 16 * subsets)))
+                      // (4 * points + 16 * subsets + 256)))
 
-    @functools.lru_cache(maxsize=65536)  # every mask up to MAX_ARITY = 16
-    def essential(mask: bytes) -> tuple[int, ...]:
-        # The positions a batch mask marks, sorted as a verdict lists them.
-        bits = int.from_bytes(mask, "little")
-        return tuple(k for k in range(1, arity + 1) if (bits >> (k - 1)) & 1)
-
-    def lanes(batch: list[tuple[int, ...]]) -> list[tuple[PolyFn, bytes, int, bytes]]:
-        # Each map with its lane answers; the columns die on return.
+    def lanes(batch: list[tuple[int, ...]]) -> tuple[list[PolyFn], bytes, bytes, bytes]:
+        # The chunk's maps with their lane answers; the columns die on return.
         fns, coefficients, values = value_columns(lattice, arity, batch)
-        masks, codes = lane_gap_codes(sizes, values)
-        restricted, _ = lane_gap_codes(binary, coefficients)
-        width = len(masks) // len(batch)
-        return [(f, masks[k * width:(k + 1) * width], codes[k],
-                 restricted[k * width:(k + 1) * width]) for k, f in enumerate(fns)]
-
-    def check(item: tuple[PolyFn, bytes, int, bytes]) -> Outcome:
-        f, mask, code, restricted = item
-        verdict = classify_polynomial_gap(f)
-        gap = _CODE_GAPS[code]
-        if (verdict.gap == gap and gap != 3 and verdict.essential == essential(mask)
-                and restricted == mask):
-            return gap, None
-        report, ess01 = _gap_search(sizes, value_table(f).table), _ess_scan(binary, bytes(f.table))
-        found = {"coefficients": [nm for _, nm in f.dump()],
-                 **_both_answers(verdict, report), "restricted_essential": sorted(ess01)}
-        if _agree(verdict, report) and ess01 == report.essential:
-            found.update(batch_gap=gap, batch_essential=list(essential(mask)),
-                         batch_restricted_essential=list(essential(restricted)))
-        return report.gap, found
+        return (fns, *lane_gap_codes(sizes, values), lane_gap_codes(binary, coefficients)[0])
 
     return _sweep("gap-theorem", {"lattice": name, "size": lattice.size, "arity": arity},
-                  "monotone_maps", _ramp(maps, most, lanes), check)
+                  "monotone_maps", arity, _ramp(maps, most, lanes), classify_polynomial_gap,
+                  _check(lambda f: (_gap_search(sizes, value_table(f).table),
+                                    {"coefficients": [nm for _, nm in f.dump()]},
+                                    _ess_scan(binary, bytes(f.table)))))

@@ -40,6 +40,22 @@ def characteristic_vector(mask: int, arity: int, lattice: Lattice) -> tuple[Elem
 
 # Construction, evaluation and formatting that only the tests use.
 
+def leq(lattice: Lattice, x: Elem, y: Elem) -> bool:
+    """x <= y in `lattice`; raises LatticeError for an element of
+    another lattice."""
+    i = lattice.require_member(x)
+    j = lattice.require_member(y)
+    return bool((lattice._up[i] >> j) & 1)
+
+
+def format_lattice(lat: Lattice) -> str:
+    """Canonical text for a lattice; parse_lattice inverts this exactly."""
+    lines = ["elements: " + " ".join(lat.names)]
+    for i, j in lat.covers:
+        lines.append(f"{lat.names[i]} < {lat.names[j]}")
+    return "\n".join(lines) + "\n"
+
+
 def from_monotone_table(table, arity: int, lattice: Lattice) -> PolyFn:
     """Build a PolyFn from a 0/1-point value table.
 
@@ -178,7 +194,7 @@ def monotone_tables_by_filter(n: int, lattice: Lattice) -> list[tuple[int, ...]]
         ok = True
         for i in range(size):
             for j in range(size):
-                if i & j == i and not lattice.leq(els[tab[i]], els[tab[j]]):
+                if i & j == i and not leq(lattice, els[tab[i]], els[tab[j]]):
                     ok = False
                     break
             if not ok:
@@ -186,6 +202,22 @@ def monotone_tables_by_filter(n: int, lattice: Lattice) -> list[tuple[int, ...]]
         if ok:
             keep.append(tab)
     return keep
+
+
+def essential_by_mask_loop(f) -> frozenset[int]:
+    """Positions j with a_J != a_{J + j} for some J, found mask by mask:
+    the coefficient-jump test before it read the table as one integer."""
+    table = f.table
+    ess = set()
+    for j in range(1, f.arity + 1):
+        bit = 1 << (j - 1)
+        for mask in range(len(table)):
+            if mask & bit:
+                continue
+            if table[mask] != table[mask | bit]:
+                ess.add(j)
+                break
+    return frozenset(ess)
 
 
 def essential_by_full_scan(lattice: Lattice, arity: int, fn) -> set[int]:

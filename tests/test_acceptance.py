@@ -13,15 +13,16 @@ import math
 import random
 import time
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 
 from latgap import (EnumerationBudgetError, PolyFn, builtin_lattice, canonicalize, chain,
-                    enumerate_all_functions, enumerate_monotone_maps, gap_bruteforce,
-                    product, salomaa_function, value_table)
+                    enumerate_all_functions, enumerate_monotone_maps, ess_bruteforce,
+                    gap_bruteforce, product, salomaa_function, value_table)
 from latgap.finfun import lane_gap_codes
 from latgap.sweep import sweep_boolean, sweep_gap_theorem, sweep_pseudo_boolean
-from helpers import eval_dnf, eval_term, random_term
+from helpers import eval_dnf, eval_term, leq, random_term, restrict_to_01
 
 LATTICES = ("chain2", "chain3", "chain4", "2x2", "2x3")
 
@@ -129,13 +130,14 @@ def test_pseudo_boolean_sweep_scans_each_function_once(monkeypatch):
 
 
 def test_gap_theorem_sweep_scans_each_map_once(monkeypatch):
-    # The classifier finds the essential positions once per map and
-    # reads the truncated-median coefficients off the map itself, so
-    # the sweep neither scans a map twice nor builds a reduced function.
+    # The classifier finds the essential positions once per map, with
+    # the coefficient-jump scan, and reads the truncated-median
+    # coefficients off the map itself, so the sweep neither scans a map
+    # twice nor builds a reduced function.
     import latgap.classify as classify
     import latgap.polyfn as polyfn
     import latgap.sweep as sweep
-    calls = {"essential_variables": 0, "reduce_to_essential": 0}
+    calls = {"_jump_positions": 0, "reduce_to_essential": 0}
     for name in calls:
         real = getattr(polyfn, name)
 
@@ -147,7 +149,7 @@ def test_gap_theorem_sweep_scans_each_map_once(monkeypatch):
             monkeypatch.setattr(module, name, counted, raising=False)
     report = sweep_gap_theorem("2x2", builtin_lattice("2x2"), 3)
     assert report.ok and report.scanned == 400
-    assert calls == {"essential_variables": 400, "reduce_to_essential": 0}
+    assert calls == {"_jump_positions": 400, "reduce_to_essential": 0}
 
 
 def test_criterion_3_lattice_sweep_matches_oracle():
@@ -190,7 +192,7 @@ def test_criterion_3_counts_predicted():
                 for name in ("chain2", "chain3")]
     for r in reports:
         lat = builtin_lattice(r.params["lattice"])
-        s = sum(lat.leq(a, b) for a in lat.elements for b in lat.elements if a != b)
+        s = sum(leq(lat, a, b) for a in lat.elements for b in lat.elements if a != b)
         n = r.params["arity"]
         assert r.ok
         assert r.scanned - r.analyzed == lat.size + s * n, r.params
@@ -300,8 +302,8 @@ def test_gap_theorem_sweep_tables_match_value_table(monkeypatch):
 def test_gap_theorem_sweep_chunks_do_not_change_reports(monkeypatch):
     # Chunks grow 1, 2, 4, ... maps up to a cap that CHUNK_BYTES sets.
     # 2x2/3 has 64-point tables and 8 coefficients: a byte budget of
-    # 100 * 72 + 7 * (4 * 64 + 16 * 8) caps chunks at 7 maps, and one
-    # of 64 at one map. The reports match the default cap of 256, with
+    # 100 * 72 + 7 * (4 * 64 + 16 * 8 + 256) caps chunks at 7 maps, and
+    # one of 64 at one map. The reports match the default cap of 1024, with
     # the right classifier and with one that calls every gap 1, which
     # the first truncated median, map 45, contradicts.
     import latgap.sweep as sweep
@@ -313,7 +315,7 @@ def test_gap_theorem_sweep_chunks_do_not_change_reports(monkeypatch):
 
     for classifier, scanned in ((classify_polynomial_gap, 400), (gap_one, 45)):
         reports = []
-        for budget, size in ((sweep.CHUNK_BYTES, 256), (7200 + 7 * 384, 7), (64, 1)):
+        for budget, size in ((sweep.CHUNK_BYTES, 1024), (7200 + 7 * 640, 7), (64, 1)):
             monkeypatch.setattr(sweep, "CHUNK_BYTES", budget)
             monkeypatch.setattr(sweep, "classify_polynomial_gap", classifier)
             tables = []
@@ -331,37 +333,141 @@ def test_gap_theorem_sweep_chunks_do_not_change_reports(monkeypatch):
         assert reports[0]["ok"] is (classifier is classify_polynomial_gap)
 
 
-def test_gap_theorem_sweep_chunks_fit_their_byte_budget(monkeypatch):
-    # Under a byte budget of 1 MiB a sweep's chunks grow to the most maps
-    # the budget allows. One chunk of that many maps, from drawing them
-    # to both lane calls, peaks within the budget and above half of it.
-    # chain2/9 has as many coefficients as points, 2x2/6 64 times fewer.
+def _chunk_peak(lat, arity: int, m: int) -> int:
+    """Peak traced bytes of one gap-theorem chunk of m maps, made as the
+    sweep makes it: drawn, built in columns, run through both lane
+    calls, then classified once the columns are gone."""
     import tracemalloc
+    from latgap.classify import classify_polynomial_gap
+    from latgap.polyfn import value_columns
+    tracemalloc.start()
+    try:
+        maps = list(itertools.islice(enumerate_monotone_maps(arity, lat), m))
+        fns, coefficients, values = value_columns(lat, arity, maps)
+        lane_gap_codes((lat.size,) * arity, values)
+        lane_gap_codes((2,) * arity, coefficients)
+        del coefficients, values
+        verdicts = list(map(classify_polynomial_gap, fns))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(verdicts) == m
+    return peak
+
+
+def test_gap_theorem_sweep_chunks_fit_their_byte_budget(monkeypatch):
+    # Under a byte budget a sweep's chunks grow to the most maps the
+    # rule (4E + 16 * 2^n + 256) * m + 100 * (E + 2^n) allows, and one
+    # chunk of that many maps, from drawing them to classifying them,
+    # peaks within the rule and above half of it. Under 1 MiB, chain2/9
+    # has as many coefficients as points and 2x2/6 64 times fewer; under
+    # the default budget, 2x2/4 chunks reach CHUNK_MAPS = 1024 maps.
     import latgap.sweep as sweep
     from latgap.classify import Gap1, classify_polynomial_gap
     from latgap.polyfn import value_columns
-    budget = 1 << 20
-    monkeypatch.setattr(sweep, "CHUNK_BYTES", budget)
-    for name, arity, most in (("chain2", 9, 92), ("2x2", 6, 36)):
+    for name, arity, budget, most in (("chain2", 9, 1 << 20, 90), ("2x2", 6, 1 << 20, 35),
+                                      ("2x2", 4, sweep.CHUNK_BYTES, 1024)):
         lat = builtin_lattice(name)
+        points, subsets = lat.size ** arity, 1 << arity
+        rule = (4 * points + 16 * subsets + 256) * most + 100 * (points + subsets)
+        assert rule <= budget
+        monkeypatch.setattr(sweep, "CHUNK_BYTES", budget)
         chunks = []
         monkeypatch.setattr(sweep, "value_columns", lambda lat, n, maps: (
             chunks.append(len(maps)) or value_columns(lat, n, maps)))
         drawn = itertools.count(1)
         monkeypatch.setattr(sweep, "classify_polynomial_gap", lambda f: (
-            classify_polynomial_gap(f) if next(drawn) < 200 else Gap1(())))
-        assert sweep_gap_theorem(name, lat, arity).scanned == 200
+            classify_polynomial_gap(f) if next(drawn) < 2 * most else Gap1(())))
+        assert sweep_gap_theorem(name, lat, arity).scanned == 2 * most
         assert max(chunks) == most
-        tracemalloc.start()
-        try:
-            maps = list(itertools.islice(enumerate_monotone_maps(arity, lat), most))
-            _, coefficients, values = value_columns(lat, arity, maps)
-            lane_gap_codes((lat.size,) * arity, values)
-            lane_gap_codes((2,) * arity, coefficients)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert budget // 2 < peak <= budget, (name, peak)
+        monkeypatch.undo()
+        peak = _chunk_peak(lat, arity, most)
+        assert rule // 2 < peak <= rule, (name, arity, peak)
+
+
+def _out_of_range(essential: tuple) -> tuple:
+    return (*essential, 99)
+
+
+def _unsorted(essential: tuple) -> tuple:
+    return (*essential[1:], essential[0])
+
+
+def _wrong_on(monkeypatch, name: str, table, wrong=_out_of_range) -> None:
+    """Patch the sweep's classifier `name` to be wrong on the one
+    function whose table is `table`: its essential positions go through
+    `wrong`, by default adding a position no function has."""
+    import latgap.sweep as sweep
+    real = getattr(sweep, name)
+
+    def classifier(f):
+        verdict = real(f)
+        if f.table != table:
+            return verdict
+        return SimpleNamespace(gap=verdict.gap, essential=wrong(verdict.essential))
+
+    monkeypatch.setattr(sweep, name, classifier)
+
+
+def _reference(functions, s: int, oracle) -> tuple[int, dict[int, int]]:
+    """analyzed and gap_counts of a plain per-function loop that stops
+    at function s, with the oracle giving each function's gap: the
+    s + 1 functions read less those skipped, and the gaps before s."""
+    gap_counts = {None: 0, 1: 0, 2: 0}
+    for f in itertools.islice(functions, s):
+        gap_counts[oracle(f)] += 1
+    return s + 1 - gap_counts.pop(None), gap_counts
+
+
+def test_sweeps_stop_at_a_disagreement_on_any_chunk_boundary(monkeypatch):
+    # Chunks run 1, 2, 4, ..., 512 functions, then 1,024 at a time:
+    # chain3/4 has 7,581 maps, chunks starting at maps 1,023 and 2,047.
+    # A classifier wrong on exactly function s, at the first or last
+    # function of a chunk or in the middle of a full one, stops each
+    # sweep there with the counts of the functions before it, which its
+    # chunk's other answers must not change. The right positions out of
+    # order are wrong too; as a set they match the replay, so that
+    # counterexample also names the batch answers.
+    chain3 = builtin_lattice("chain3")
+    maps = list(enumerate_monotone_maps(4, chain3))
+    for s, wrong in ((1023, _out_of_range), (2046, _out_of_range), (2559, _out_of_range),
+                     (1535, _unsorted)):
+        f = PolyFn(chain3, 4, maps[s])
+        oracle = gap_bruteforce(value_table(f))
+        essential = sorted(oracle.essential)
+        assert len(essential) >= 2
+        _wrong_on(monkeypatch, "classify_polynomial_gap", maps[s], wrong)
+        report = sweep_gap_theorem("chain3", chain3, 4)
+        monkeypatch.undo()
+        assert report.to_json()["monotone_maps"] == s + 1
+        assert (report.analyzed, report.gap_counts) == _reference(
+            (PolyFn(chain3, 4, coeffs) for coeffs in maps), s,
+            lambda g: gap_bruteforce(value_table(g)).gap), s
+        expected = {
+            "coefficients": [nm for _, nm in f.dump()], "classifier_gap": oracle.gap,
+            "oracle_gap": oracle.gap, "essential": list(wrong(tuple(essential))),
+            "oracle_essential": essential,
+            "restricted_essential": sorted(ess_bruteforce(restrict_to_01(f)))}
+        if wrong is _unsorted:
+            expected.update(batch_gap=oracle.gap, batch_essential=essential,
+                            batch_restricted_essential=essential)
+        assert report.counterexample == expected, s
+    for run, arity, codomain, s, render in (
+            (lambda: sweep_boolean(4), 4, 2, 65535, lambda t: "".join(map(str, t))),
+            (lambda: sweep_pseudo_boolean(3, 3), 3, 3, 2047, list)):
+        f = next(itertools.islice(enumerate_all_functions(arity, 2, codomain), s, None))
+        name = "classify_boolean_gap" if codomain == 2 else "classify_pseudo_boolean_gap"
+        _wrong_on(monkeypatch, name, f.table)
+        report = run()
+        monkeypatch.undo()
+        oracle = gap_bruteforce(f)
+        assert report.scanned == s + 1
+        assert (report.analyzed, report.gap_counts) == _reference(
+            enumerate_all_functions(arity, 2, codomain), s, lambda g: gap_bruteforce(g).gap)
+        assert report.counterexample == {
+            "table": render(f.table), "classifier_gap": oracle.gap, "oracle_gap": oracle.gap,
+            "essential": [*sorted(oracle.essential), 99],
+            "oracle_essential": sorted(oracle.essential)}
 
 
 def test_gap_theorem_sweep_reads_two_byte_masks(monkeypatch):

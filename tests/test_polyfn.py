@@ -11,11 +11,11 @@ from latgap import (EnumerationBudgetError, MonotonicityError, PolyFn,
                     identify, lattice_from_covers, parse_expr,
                     reduce_to_essential, simple_substitution,
                     value_table)
-from latgap.polyfn import value_columns
-from latgap.finfun import ess_bruteforce
-from helpers import (characteristic_vector, essential_by_full_scan, eval_dnf,
-                     from_monotone_table, monotone_tables_by_filter, point_at, random_term,
-                     restrict_to_01)
+from latgap.polyfn import KEPT_JUMP_ARITY, _jump_positions, value_columns
+from latgap.finfun import enumerate_all_functions, ess_bruteforce
+from helpers import (characteristic_vector, essential_by_full_scan, essential_by_mask_loop,
+                     eval_dnf, from_monotone_table, leq, monotone_tables_by_filter, point_at,
+                     random_term, restrict_to_01)
 
 MEDIAN = "(x1 & x2) | (x2 & x3) | (x3 & x1)"
 
@@ -208,8 +208,36 @@ def random_monotone_table(rng: random.Random, n: int, lat) -> tuple[int, ...]:
         for k in range(n):
             if (mask >> k) & 1:
                 floor = lat.join(floor, els[table[mask ^ (1 << k)]])
-        table.append(rng.choice([e.index for e in els if lat.leq(floor, e)]))
+        table.append(rng.choice([e.index for e in els if leq(lat, floor, e)]))
     return tuple(table)
+
+
+def test_jump_scan_matches_the_mask_loop():
+    # The one-integer scan finds the positions the mask-by-mask loop
+    # finds, sorted: on seeded monotone tables up to and past the arity
+    # whose masks are kept, on a 300-element chain whose coefficients
+    # take two bytes each (1 and 257 share their low byte), and on
+    # every 0/1 table into 2 or 3 values of arity at most 3.
+    rng = random.Random(2025)
+    names = [f"e{i}" for i in range(300)]
+    long_chain = lattice_from_covers(names, list(zip(names, names[1:])))
+    chain3 = builtin_lattice("chain3")
+    fns = [PolyFn(lat, n, random_monotone_table(rng, n, lat))
+           for lat in (chain3, builtin_lattice("2x2"), builtin_lattice("cube3"))
+           for n in range(KEPT_JUMP_ARITY + 1) for _ in range(3)]
+    fns += [PolyFn(chain3, n, random_monotone_table(rng, n, chain3))
+            for n in (KEPT_JUMP_ARITY + 1, KEPT_JUMP_ARITY + 2)]
+    fns += [PolyFn(long_chain, n, random_monotone_table(rng, n, long_chain))
+            for n in range(5) for _ in range(4)]
+    fns += [PolyFn(long_chain, 1, (1, 257)), PolyFn(long_chain, 2, (1, 1, 257, 257)),
+            PolyFn(long_chain, 2, (256, 299, 299, 299))]
+    fns += [f for n in range(4) for codomain in (2, 3)
+            for f in enumerate_all_functions(n, 2, codomain)]
+    assert any(max(f.table) > 255 for f in fns)
+    for f in fns:
+        loop = essential_by_mask_loop(f)
+        assert _jump_positions(f) == tuple(sorted(loop)), f
+        assert essential_variables(f) == loop, f
 
 
 def test_value_table_matches_eval(c3, c4, rect23):
@@ -369,7 +397,7 @@ def first_out_of_order_cover(lat, table) -> tuple[int, int] | None:
     for mask in range(1, len(table)):
         for k in range(len(table).bit_length() - 1):
             sub = mask ^ (1 << k)
-            if mask >> k & 1 and not lat.leq(els[table[sub]], els[table[mask]]):
+            if mask >> k & 1 and not leq(lat, els[table[sub]], els[table[mask]]):
                 return sub, mask
     return None
 

@@ -8,7 +8,7 @@ import pytest
 from latgap import (LatticeError, ParseError, canonicalize, chain,
                     format_dnf, parse_expr)
 from latgap.terms import MAX_TERM_DEPTH, Const, Join, Meet, Var
-from helpers import eval_term, from_monotone_table, monotone_tables_by_filter, random_term
+from helpers import eval_term, from_monotone_table, leq, monotone_tables_by_filter, random_term
 
 MEDIAN = "(x1 & x2) | (x2 & x3) | (x3 & x1)"
 
@@ -125,8 +125,8 @@ def test_eval_is_monotone_exhaustively(c3, square):
             pts = list(itertools.product(lat.elements, repeat=2))
             for p in pts:
                 for q in pts:
-                    if all(lat.leq(pi, qi) for pi, qi in zip(p, q)):
-                        assert lat.leq(eval_term(term, p), eval_term(term, q))
+                    if all(leq(lat, pi, qi) for pi, qi in zip(p, q)):
+                        assert leq(lat, eval_term(term, p), eval_term(term, q))
 
 
 def test_format_dnf_median(c3):
