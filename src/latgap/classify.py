@@ -10,9 +10,10 @@ essential positions (the verdict is GapUndefined, as the oracle's
   exactly the essential ones, and test membership in the four gap-2
   families (up to permutation of variables). Everything else has gap 1.
   A Moebius transform of the table read as one integer, n shift-xor
-  steps with cached masks, gives the coefficient integer t: bit p is
+  steps with the arity's masks (kept up to polyfn.KEPT_JUMP_ARITY,
+  built per call beyond), gives the coefficient integer t: bit p is
   the coefficient of monomial p. The verdict is read off t with the
-  arity's cached masks: position k is essential when t meets the
+  arity's other masks: position k is essential when t meets the
   monomials containing it, the constant is bit 0, and the sum form is
   t with no nonlinear monomial. Beyond three essential variables only
   the sum form is possible, so only a function with at most three
@@ -22,7 +23,8 @@ essential positions (the verdict is GapUndefined, as the oracle's
   when two variables are essential and f(0,0) = f(1,1) on them (the
   others at 0), or when f factors as an injective unary map composed
   with a Boolean function of gap 2. Both conditions are checked and all
-  that hold are reported.
+  that hold are reported; the second needs one Boolean verdict, since
+  swapping the unary map's two values only complements h.
 - Lattice polynomial functions: gap 2 exactly for truncated medians,
   the functions (a or median(x,y,z)) and b with a strictly below b,
   possibly padded with inessential variables.
@@ -37,7 +39,7 @@ from typing import Iterator
 
 from .finfun import FiniteFn
 from .lattice import Elem
-from .polyfn import PolyFn, _jump_plan, _jump_positions
+from .polyfn import KEPT_JUMP_ARITY, PolyFn, _jump_plan, _jump_positions
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,6 @@ _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@functools.lru_cache(maxsize=32)
 def _anf_plan(n: int) -> tuple[tuple[tuple[int, int], ...],
                                tuple[tuple[int, int], ...], int]:
     # Over 2**n bits, from _jump_plan: the Moebius steps (the mask of
@@ -98,12 +99,16 @@ def _anf_plan(n: int) -> tuple[tuple[tuple[int, int], ...],
     return steps, uppers, nonlinear
 
 
+# Plans are kept up to KEPT_JUMP_ARITY = 10, as the jump masks are.
+_kept_anf_plan = functools.lru_cache(maxsize=11)(_anf_plan)
+
+
 def _moebius(f: FiniteFn) -> tuple[int, tuple]:
     # The coefficient integer t of f's Zhegalkin polynomial, whose bit p
     # is the coefficient of monomial p, and the plan of f's arity.
     if f.codomain != 2 or f.sizes != (2,) * len(f.sizes):
         raise ValueError("a Boolean function over {0,1}^n is required")
-    plan = _anf_plan(len(f.sizes))
+    plan = (_kept_anf_plan if f.arity <= KEPT_JUMP_ARITY else _anf_plan)(f.arity)
     # Bit p of t is entry p. Step k xors every entry into the one with
     # bit k also set, the Moebius transform over that bit.
     t = int(f.table[::-1].translate(_TO_DIGITS), 2)
@@ -316,17 +321,14 @@ def classify_pseudo_boolean_gap(f: FiniteFn) -> GapUndefined | Gap1 | PseudoBool
     unary: tuple[int, int] | None = None
     if len(ess) == 2 and f.table[0] == f.table[(1 << ess[0] - 1) | (1 << ess[1] - 1)]:
         cases.append(1)
-    image = sorted(set(f.table))
-    if len(image) == 2:
-        for g0, g1 in (tuple(image), tuple(reversed(image))):
-            h = FiniteFn(f.sizes, 2, f.table.translate(
-                bytes.maketrans(bytes((g0, g1)), b"\x00\x01")))
-            verdict = classify_boolean_gap(h)
-            if verdict.gap == 2:
-                cases.append(2)
-                inner = verdict
-                unary = (g0, g1)
-                break
+    image = bytes(sorted(set(f.table)))
+    if len(image) == 2:  # swapping g(0) and g(1) only complements h
+        verdict = classify_boolean_gap(FiniteFn(f.sizes, 2, f.table.translate(
+            bytes.maketrans(image, b"\x00\x01"))))
+        if verdict.gap == 2:
+            cases.append(2)
+            inner = verdict
+            unary = tuple(image)
     if cases:
         return PseudoBooleanCase(tuple(cases), inner, unary, ess)
     return Gap1(ess)

@@ -22,12 +22,10 @@ pair per position, form the plan of a shape, kept in a bounded cache
 for tables of at most KEPT_PLAN_ENTRIES entries and built one position
 at a time, as a scan reads it, beyond.
 
-Identification minors are integers too. `gap_bruteforce` and
-`ess_bruteforce` are thin wrappers over the private `_gap_search` and
-`_ess_scan`, which take a shape and a byte table, so a caller that made
-and checked a table itself searches it with no FiniteFn at all. A minor
-is built by shifts alone, with a doubling fill (the parallel prefix of
-W. D. Hillis and G. L. Steele, "Data parallel algorithms", CACM 1986).
+Identification minors are integers too, one per pair i < j of
+essential positions in `gap_bruteforce`. A minor is built by shifts
+alone, with a doubling fill (the parallel prefix of W. D. Hillis and
+G. L. Steele, "Data parallel algorithms", CACM 1986).
 The diagonal mask keeps, in each fibre along i (the |A| points that
 differ only at i), the entry whose digit at i equals its digit at j.
 The gather ORs the masked T >> s into itself over the plan's fill
@@ -53,6 +51,11 @@ agree, and one encoder turns its planes, widened to byte lanes, into
 mask and code bytes. `table_gap_codes` cuts whole tables into columns.
 Both batch oracles read values only, and `gap_bruteforce` stays the
 reference for single functions.
+
+`enumerate_monotone_maps` builds the monotone maps {0,1}^n -> L by
+doubling: a table of arity j is monotone exactly when its two halves
+are monotone tables A <= B of arity j - 1. It refuses, before building
+it, an arity below n whose tables could pass DEFAULT_BUDGET entries.
 
 This module imports no other latgap module at run time, so the oracle
 knows only value tables.
@@ -268,17 +271,12 @@ def _minor(t: int, sizes: tuple[int, ...], i: int, j: int, plan: _Plan) -> int:
     return minor
 
 
-def _ess_scan(sizes: tuple[int, ...], table: bytes) -> frozenset[int]:
-    # The essential positions of a table of the given shape. Points one
-    # digit apart at k sit stride_k entries apart; comparing every such
-    # pair covers all pairs that differ only at k.
-    return frozenset(_essential(int.from_bytes(table, "big"), _plan(sizes, len(table))))
-
-
 def ess_bruteforce(f: FiniteFn) -> frozenset[int]:
     """Definitional essentiality: position k is essential when two points
-    differing only at k get different values."""
-    return _ess_scan(f.sizes, f.table)
+    differing only at k get different values. Points one digit apart at
+    k sit stride_k entries apart; comparing every such pair covers all
+    pairs that differ only at k."""
+    return frozenset(_essential(int.from_bytes(f.table, "big"), _plan(f.sizes, len(f.table))))
 
 
 def identify_table(f: FiniteFn, i: int, j: int) -> FiniteFn:
@@ -305,7 +303,7 @@ class GapReport:
     """Ground-truth essentiality and gap for one function.
 
     `essl` is the largest essential-variable count over all minors that
-    identify one essential position with another (both orders tried);
+    identify one essential position with another (one order per pair);
     `gap` is `ess - essl` and is always at least 1, because the
     identified position goes inessential in its minor. Below two
     essential positions the gap is undefined and `essl` and `gap` are
@@ -318,42 +316,30 @@ class GapReport:
     gap: int | None
 
 
-def _gap_search(sizes: tuple[int, ...], table: bytes) -> GapReport:
-    # gap_bruteforce on a table of the given shape.
-    t = int.from_bytes(table, "big")
-    plan = _plan(sizes, len(table))
-    positions = _essential(t, plan)
-    ess = frozenset(positions)
-    if len(positions) < 2:
-        return GapReport(ess, len(ess), None, None)
-    best = 0
-    limit = len(positions) - 1
-    for i in positions:
-        for j in positions:
-            if i == j:
-                continue
-            count = len(_essential(_minor(t, sizes, i, j, plan), plan))
-            if count > best:
-                best = count
-                if best == limit:
-                    break
-        if best == limit:
-            break
-    return GapReport(ess, len(ess), best, len(ess) - best)
-
-
 def gap_bruteforce(f: FiniteFn) -> GapReport:
     """Compute the essential positions and the arity gap, the latter by
     exhausting identification minors.
 
-    Minors are tried for each ordered pair of essential positions in
-    increasing order, until one keeps all but one essential position.
+    Minors (i, j) are tried for each pair i < j of essential positions
+    in increasing order, until one keeps all but one essential position;
+    (j, i) differs only by swapping x_i and x_j, so it keeps as many.
     Raises ValueError ("positions to identify must share an alphabet
     size") when the search reaches a pair of essential positions whose
     alphabet sizes differ, such as positions 1 and 2 of
     (x1 + x2) mod 3 over alphabets of sizes 2 and 3.
     """
-    return _gap_search(f.sizes, f.table)
+    t = int.from_bytes(f.table, "big")
+    plan = _plan(f.sizes, len(f.table))
+    positions = _essential(t, plan)
+    ess = frozenset(positions)
+    if len(positions) < 2:
+        return GapReport(ess, len(ess), None, None)
+    best = 0
+    for i, j in itertools.combinations(positions, 2):
+        best = max(best, len(_essential(_minor(t, f.sizes, i, j, plan), plan)))
+        if best == len(positions) - 1:
+            break
+    return GapReport(ess, len(ess), best, len(ess) - best)
 
 
 def _build_lane_plan(sizes: tuple[int, ...]) -> tuple[Iterable, Iterable]:
@@ -572,49 +558,51 @@ def salomaa_function(k: int) -> FiniteFn:
     return FiniteFn((k,) * k, k, bytes(table))
 
 
+def _double(tables: list[tuple[int, ...]], above: list[list[int]]
+            ) -> tuple[list[tuple[int, ...]], Iterator[list[int]]]:
+    # From the tables of one arity, each with the ascending indices of
+    # the tables above it, the same for one arity more: the pairs A <= B
+    # as A + B, in lexicographic order, the indices lazily. (C, D) lies
+    # above (A, B) when C >= A and D >= B; rank[C][D] indexes (C, D).
+    start = itertools.accumulate(map(len, above), initial=0)
+    rank = [dict(zip(up, itertools.count(first))) for up, first in zip(above, start)]
+    return ([tables[a] + tables[b] for a, up in enumerate(above) for b in up],
+            ([i for c in up for i in map(rank[c].get, above[b]) if i is not None]
+             for up in above for b in up))
+
+
 def enumerate_monotone_maps(n: int, lattice: "Lattice") -> Iterator[tuple[int, ...]]:
     """Yield every monotone map {0,1}^n -> L exactly once, as a coefficient
-    table (element indices by subset mask).
+    table (element indices by subset mask), in lexicographic order of
+    the tables, a_0 first.
 
-    Backtracks over masks in numeric order, which linearly extends the
-    subset order, so pruning only needs the immediate sub-subsets: each
-    candidate value must sit above the join of their values. The
-    backtracking is one loop: left[mask] is the bitmask of the
-    candidates at `mask` not tried yet, lowest index first.
+    A table of arity j is monotone exactly when its halves, the masks
+    without and with position j, are monotone tables A <= B of arity
+    j - 1 (the recursion behind the Dedekind numbers). Every arity
+    below n is built whole, each table with the indices of the tables
+    above it, and the maps are drawn as the pairs A <= B of arity n - 1.
+
+    Checks its arguments and builds those arities when called: an arity
+    that is not an int in 0..16 raises ValueError, and an arity j < n
+    whose tables could hold more than DEFAULT_BUDGET entries, judged as
+    |M(j - 1)|^2 * 2^j from the |M(j - 1)| tables of arity j - 1,
+    EnumerationBudgetError before it is built.
     """
     if not isinstance(n, int) or not 0 <= n <= 16:
         raise ValueError("arity must be an int in 0..16")
-    size = 1 << n
-    join_t = lattice._join
-    up = lattice._up
-    bottom = lattice.bottom_index
-
-    def maps() -> Iterator[tuple[int, ...]]:
-        subsets = [tuple(mask ^ (1 << k) for k in range(n) if mask >> k & 1)
-                   for mask in range(size)]
-        coeffs = [bottom] * size
-        left = [0] * size
-        left[0] = up[bottom]
-        last = size - 1
-        mask = 0
-        while mask >= 0:
-            rest = left[mask]
-            if not rest:
-                mask -= 1
-                continue
-            low = rest & -rest
-            left[mask] = rest ^ low
-            coeffs[mask] = low.bit_length() - 1
-            if mask == last:
-                yield tuple(coeffs)
-                continue
-            mask += 1
-            floor = bottom
-            for sub in subsets[mask]:
-                floor = join_t[floor][coeffs[sub]]
-            left[mask] = up[floor]
-
-    return maps()
+    k, up = lattice.size, lattice._up
+    tables = [(v,) for v in range(k)]
+    if n == 0:
+        return iter(tables)
+    above = ([w for w in range(k) if up[v] >> w & 1] for v in range(k))
+    for j in range(1, n):
+        if len(tables) ** 2 << j > DEFAULT_BUDGET:
+            raise EnumerationBudgetError(
+                f"monotone maps of arity {n} need all those of arity {j}: up to "
+                f"{len(tables)}^2 tables of 2^{j} entries, more than the budget of "
+                f"{DEFAULT_BUDGET}")
+        tables, above = _double(tables, list(above))
+    return (table + tables[b] for table, up in zip(tables, above) for b in up)
 
 
 def _power_within_budget(base: int, exponent: int) -> int | None:

@@ -33,6 +33,8 @@ MAX_ARITY = 16
 
 # _jump_positions keeps its masks up to this arity: those of every
 # arity up to it take 18,434 bytes at 8 bits per entry and 36,868 at 16.
+# classify keeps its Moebius plans, 2n + 1 masks of 2^n bits, by the
+# same rule: 4,965 bytes for every arity up to it.
 KEPT_JUMP_ARITY = 10
 
 
@@ -143,6 +145,7 @@ def canonicalize(term: "Term") -> PolyFn:
 
 
 def _check_table_budget(lattice: Lattice, arity: int) -> None:
+    _check_arity(arity)
     k = lattice.size
     if k ** arity > DEFAULT_BUDGET:
         raise EnumerationBudgetError(
@@ -232,7 +235,6 @@ def value_columns(lattice: Lattice, arity: int, maps: Sequence[tuple[int, ...]]
     Raises value_table's errors, and PolyFn's for a bad arity, before
     reading a map.
     """
-    _check_arity(arity)
     _check_table_budget(lattice, arity)
     k, size, m = lattice.size, 1 << arity, len(maps)
     try:

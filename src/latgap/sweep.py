@@ -19,8 +19,9 @@ once for the whole domain; the pseudo-Boolean sweep asks
 `table_gap_codes` per chunk, and both replay through `gap_bruteforce`.
 The gap-theorem sweep also caps a chunk by CHUNK_BYTES: there
 `polyfn.value_columns` builds the coefficient and value columns for
-`lane_gap_codes`, and a map is replayed through `_gap_search` and
-`_ess_scan`. No state outlives a sweep.
+`lane_gap_codes`, and a map is replayed through `gap_bruteforce` on its
+value table and `ess_bruteforce` on its coefficients. No state outlives
+a sweep.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from typing import Callable, Iterable, Iterator
 
 from .classify import (classify_boolean_gap, classify_polynomial_gap,
                        classify_pseudo_boolean_gap)
-from .finfun import (_ess_scan, _gap_search, boolean_gap_codes,
-                     enumerate_all_functions, enumerate_monotone_maps, gap_bruteforce,
-                     lane_gap_codes, table_gap_codes)
+from .finfun import (FiniteFn, boolean_gap_codes, enumerate_all_functions,
+                     enumerate_monotone_maps, ess_bruteforce, gap_bruteforce, lane_gap_codes,
+                     table_gap_codes)
 from .lattice import Lattice
-from .polyfn import PolyFn, value_columns, value_table
+from .polyfn import PolyFn, _check_table_budget, value_columns, value_table
 
 Outcome = tuple[int | None, dict | None]
 
@@ -215,7 +216,9 @@ def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
     monotone coefficient table over `lattice` (shown as `name`). On every
     table, skipped or not, the coefficient, full-domain and 0/1-point
     essentiality criteria must also agree; a disagreement is replayed
-    through _gap_search and _ess_scan, which give the counterexample."""
+    through gap_bruteforce and ess_bruteforce, which give the
+    counterexample. value_table's errors come before any map is drawn."""
+    _check_table_budget(lattice, arity)
     sizes, binary = (lattice.size,) * arity, (2,) * arity
     maps = enumerate_monotone_maps(arity, lattice)
     points, subsets = lattice.size ** arity, 1 << arity
@@ -229,6 +232,6 @@ def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
 
     return _sweep("gap-theorem", {"lattice": name, "size": lattice.size, "arity": arity},
                   "monotone_maps", arity, _ramp(maps, most, lanes), classify_polynomial_gap,
-                  _check(lambda f: (_gap_search(sizes, value_table(f).table),
+                  _check(lambda f: (gap_bruteforce(value_table(f)),
                                     {"coefficients": [nm for _, nm in f.dump()]},
-                                    _ess_scan(binary, bytes(f.table)))))
+                                    ess_bruteforce(FiniteFn(binary, lattice.size, f.table)))))

@@ -316,10 +316,12 @@ def gap_by_points(sizes: tuple[int, ...], table) -> tuple[set[int], int | None]:
 
 
 def monotone_maps_recursive(n: int, lattice: Lattice):
-    """Every monotone map {0,1}^n -> L as a coefficient tuple, by the
-    recursive backtracking enumerate_monotone_maps replaced: masks in
-    numeric order, candidates by increasing index above the join of the
-    values on the immediate sub-subsets."""
+    """Every monotone map {0,1}^n -> L as a coefficient tuple, by
+    recursive backtracking: masks in numeric order, candidates by
+    increasing index above the join of the values on the immediate
+    sub-subsets. That is lexicographic order, enumerate_monotone_maps'
+    order, and the maps stream at any size, where that one refuses
+    shapes whose lower arities would not fit its budget."""
     size = 1 << n
     coeffs = [0] * size
 

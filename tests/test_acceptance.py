@@ -22,7 +22,8 @@ from latgap import (EnumerationBudgetError, PolyFn, builtin_lattice, canonicaliz
                     gap_bruteforce, product, salomaa_function, value_table)
 from latgap.finfun import lane_gap_codes
 from latgap.sweep import sweep_boolean, sweep_gap_theorem, sweep_pseudo_boolean
-from helpers import eval_dnf, eval_term, leq, random_term, restrict_to_01
+from helpers import (eval_dnf, eval_term, leq, monotone_maps_recursive, random_term,
+                     restrict_to_01)
 
 LATTICES = ("chain2", "chain3", "chain4", "2x2", "2x3")
 
@@ -201,6 +202,21 @@ def test_criterion_3_counts_predicted():
           f"{len(reports)} sweeps match |L| + s*n and s*C(n,3)")
 
 
+@pytest.mark.full_sweep
+@pytest.mark.parametrize("name, arity, maps, skipped, gap_two",
+                         [("chain3", 5, 7_828_354, 18, 30), ("2x3", 4, 1_273_608, 54, 48)])
+def test_criterion_3_full_sweeps(name, arity, maps, skipped, gap_two):
+    # Opt-in, with `-m full_sweep`: every monotone map of two shapes too
+    # large for the default run, with the counts predicted as above.
+    lat = builtin_lattice(name)
+    s = sum(leq(lat, a, b) for a in lat.elements for b in lat.elements if a != b)
+    r = sweep_gap_theorem(name, lat, arity)
+    assert r.ok, f"{name}: counterexample {r.counterexample}"
+    assert r.scanned == maps
+    assert r.scanned - r.analyzed == skipped == lat.size + s * arity
+    assert r.gap_counts[2] == gap_two == s * math.comb(arity, 3)
+
+
 def test_criterion_4_essentiality_criteria_agree():
     # The gap-theorem check compares all three criteria on every map,
     # including those with fewer than 2 essential variables.
@@ -336,13 +352,15 @@ def test_gap_theorem_sweep_chunks_do_not_change_reports(monkeypatch):
 def _chunk_peak(lat, arity: int, m: int) -> int:
     """Peak traced bytes of one gap-theorem chunk of m maps, made as the
     sweep makes it: drawn, built in columns, run through both lane
-    calls, then classified once the columns are gone."""
+    calls, then classified once the columns are gone. The maps come
+    from the reference enumerator, which streams shapes whose lower
+    arities enumerate_monotone_maps refuses to build."""
     import tracemalloc
     from latgap.classify import classify_polynomial_gap
     from latgap.polyfn import value_columns
     tracemalloc.start()
     try:
-        maps = list(itertools.islice(enumerate_monotone_maps(arity, lat), m))
+        maps = list(itertools.islice(monotone_maps_recursive(arity, lat), m))
         fns, coefficients, values = value_columns(lat, arity, maps)
         lane_gap_codes((lat.size,) * arity, values)
         lane_gap_codes((2,) * arity, coefficients)
@@ -361,7 +379,8 @@ def test_gap_theorem_sweep_chunks_fit_their_byte_budget(monkeypatch):
     # chunk of that many maps, from drawing them to classifying them,
     # peaks within the rule and above half of it. Under 1 MiB, chain2/9
     # has as many coefficients as points and 2x2/6 64 times fewer; under
-    # the default budget, 2x2/4 chunks reach CHUNK_MAPS = 1024 maps.
+    # the default budget, 2x2/4 chunks reach CHUNK_MAPS = 1024 maps. The
+    # maps come from the reference enumerator, in the same order.
     import latgap.sweep as sweep
     from latgap.classify import Gap1, classify_polynomial_gap
     from latgap.polyfn import value_columns
@@ -372,6 +391,7 @@ def test_gap_theorem_sweep_chunks_fit_their_byte_budget(monkeypatch):
         rule = (4 * points + 16 * subsets + 256) * most + 100 * (points + subsets)
         assert rule <= budget
         monkeypatch.setattr(sweep, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(sweep, "enumerate_monotone_maps", monotone_maps_recursive)
         chunks = []
         monkeypatch.setattr(sweep, "value_columns", lambda lat, n, maps: (
             chunks.append(len(maps)) or value_columns(lat, n, maps)))
@@ -475,7 +495,8 @@ def test_gap_theorem_sweep_reads_two_byte_masks(monkeypatch):
     # chain2/9, 245 have all 9 positions essential; the first 299 agree
     # through the lanes, and a classifier that drops a position from map
     # 300 on stops the sweep there, in the chunk of maps 256 to 511:
-    # chunks of 1, 2, 4, ..., 256 maps built 511 maps in all.
+    # chunks of 1, 2, 4, ..., 256 maps built 511 maps in all. The maps
+    # come from the reference enumerator, in the same order.
     import latgap.sweep as sweep
     from latgap.classify import Gap1, classify_polynomial_gap
     drawn = itertools.count(1)
@@ -485,6 +506,7 @@ def test_gap_theorem_sweep_reads_two_byte_masks(monkeypatch):
         return verdict if next(drawn) < 300 else Gap1(verdict.essential[:-1])
 
     monkeypatch.setattr(sweep, "classify_polynomial_gap", wrong_from_300)
+    monkeypatch.setattr(sweep, "enumerate_monotone_maps", monotone_maps_recursive)
     chunks = _capture_lanes(monkeypatch, [])
     report = sweep_gap_theorem("chain2", builtin_lattice("chain2"), 9)
     assert (report.scanned, report.analyzed, report.gap_counts) == (300, 299, {1: 298, 2: 0})
@@ -521,7 +543,8 @@ def test_gap_theorem_sweep_keeps_no_state_between_runs(monkeypatch):
     import latgap.sweep as sweep
     runs = []
     for _ in range(2):
-        calls = {"value_table": 0, "lane_gap_codes": 0, "_gap_search": 0, "_ess_scan": 0}
+        calls = {"value_table": 0, "lane_gap_codes": 0, "gap_bruteforce": 0,
+                 "ess_bruteforce": 0}
         for name in calls:
             def counted(*args, _name=name, _real=getattr(sweep, name), _calls=calls):
                 _calls[_name] += 1
@@ -536,4 +559,4 @@ def test_gap_theorem_sweep_keeps_no_state_between_runs(monkeypatch):
     # columns; no map disagrees, so none gets a value_table or a search
     # of its own.
     assert runs[0][1] == {"value_table": 0, "lane_gap_codes": 18,
-                          "_gap_search": 0, "_ess_scan": 0}
+                          "gap_bruteforce": 0, "ess_bruteforce": 0}

@@ -225,6 +225,60 @@ def test_pseudo_matches_oracle_exhaustively():
     assert sweep_pseudo_boolean(2, 3).ok
 
 
+def test_pseudo_classifies_the_boolean_function_once(monkeypatch):
+    # A two-valued f is g(h) for h Boolean, and the other order of g(0)
+    # and g(1) gives the complement of h, which only flips the parity
+    # constant: classify_boolean_gap runs once, on the order that maps
+    # the smaller value to 0, and the complement gets the same gap.
+    import latgap.classify as classify
+    real = classify.classify_boolean_gap
+    calls = []
+    monkeypatch.setattr(classify, "classify_boolean_gap",
+                        lambda h: calls.append(h.table) or real(h))
+    two_valued = 0
+    for n in (2, 3):
+        for f in enumerate_all_functions(n, 2, 3):
+            calls.clear()
+            verdict = classify_pseudo_boolean_gap(f)
+            image = bytes(sorted(set(f.table)))
+            if len(image) != 2 or len(verdict.essential) < 2:
+                assert calls == [], f.table
+                continue
+            two_valued += 1
+            h = f.table.translate(bytes.maketrans(image, b"\x00\x01"))
+            assert calls == [h], f.table
+            complement = real(FiniteFn(f.sizes, 2, h.translate(bytes.maketrans(b"\x00\x01", b"\x01\x00"))))
+            assert complement.gap == real(FiniteFn(f.sizes, 2, h)).gap, f.table
+            assert (2 in getattr(verdict, "cases", ())) is (complement.gap == 2), f.table
+    # Per image pair, the Boolean functions with two essential positions
+    # or more: 10 of arity 2 and 248 of arity 3.
+    assert two_valued == 3 * (10 + 248)
+
+
+def test_moebius_plans_are_kept_up_to_the_jump_arity():
+    # A plan holds 2n + 1 masks of 2^n bits. It is kept up to
+    # KEPT_JUMP_ARITY, as the jump masks are, and built per call beyond,
+    # so classifying functions of arity 11 to 16 keeps none of theirs.
+    import random
+    import tracemalloc
+    from latgap.classify import _moebius
+    from latgap.polyfn import KEPT_JUMP_ARITY
+    rng = random.Random(26)
+    functions = [FiniteFn((2,) * n, 2, bytes(rng.getrandbits(1) for _ in range(1 << n)))
+                 for n in range(KEPT_JUMP_ARITY, 17)]
+    kept = functions.pop(0)
+    assert _moebius(kept)[1] is _moebius(kept)[1]
+    assert _moebius(functions[0])[1] is not _moebius(functions[0])[1]
+    tracemalloc.start()
+    try:
+        for f in functions:
+            assert classify_boolean_gap(f).gap == 1
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 4096, kept
+
+
 def test_truncated_median_detection(c2, c4, named_square):
     med = canonicalize(parse_expr(MEDIAN, 3, c2))
     assert classify_polynomial_gap(med) == TruncatedMedian(c2.bottom, c2.top, (1, 2, 3))

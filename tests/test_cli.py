@@ -11,11 +11,10 @@ from types import SimpleNamespace
 import pytest
 
 from latgap import (GapReport, LatticeError, builtin_lattice, chain, ess_bruteforce,
-                    enumerate_all_functions)
+                    enumerate_all_functions, gap_bruteforce)
 from latgap.classify import (Gap1, GapUndefined, classify_boolean_gap,
                              classify_polynomial_gap)
 from latgap.cli import load_lattice, main
-from latgap.finfun import _gap_search
 from helpers import M3_COVERS, M3_NAMES, monotone_tables_by_filter
 
 MEDIAN = "(x1 & x2) | (x2 & x3) | (x3 & x1)"
@@ -417,8 +416,8 @@ def test_gap_theorem_sweep_rejects_a_gap_of_three(capsys, monkeypatch):
     def gap_three(report):
         return GapReport(report.essential, report.ess, report.ess - 3, 3)
 
-    def oracle(sizes, table):
-        report = _gap_search(sizes, table)
+    def oracle(f):
+        report = gap_bruteforce(f)
         return gap_three(report) if report.gap == 2 else report
 
     def classifier(f):
@@ -426,7 +425,7 @@ def test_gap_theorem_sweep_rejects_a_gap_of_three(capsys, monkeypatch):
         return verdict if verdict.gap != 2 else SimpleNamespace(
             gap=3, essential=verdict.essential)
 
-    monkeypatch.setattr(sweep, "_gap_search", oracle)
+    monkeypatch.setattr(sweep, "gap_bruteforce", oracle)
     monkeypatch.setattr(sweep, "classify_polynomial_gap", classifier)
     rc, payload, _ = run_json(capsys, GAP_THEOREM)
     assert (rc, payload["ok"], payload["monotone_maps"]) == (2, False, 28)
@@ -463,7 +462,7 @@ def test_gap_theorem_sweep_checks_the_restriction(capsys, monkeypatch):
 
 
 def test_gap_theorem_sweep_names_a_wrong_batch_oracle(capsys, monkeypatch):
-    # The classifier and _gap_search agree on the first truncated
+    # The classifier and gap_bruteforce agree on the first truncated
     # median, so the counterexample blames the byte-lane answers.
     import latgap.sweep as sweep
     real = sweep.lane_gap_codes
@@ -664,3 +663,24 @@ def test_sweep_budget_errors_are_symbolic(capsys):
         assert peak < 1024 * 1024, (args, peak)
         assert (rc, out) == (1, "")
         assert err == f"error: {count} functions exceed the budget of 10000000\n"
+
+
+def test_gap_theorem_refuses_shapes_past_the_budget(capsys, monkeypatch):
+    # chain2/9 and 2x2/6 would stream for ever; each ends in one error
+    # line before a map is classified. chain40/5 keeps its value-table
+    # error, checked before any map is enumerated.
+    import latgap.sweep as sweep
+
+    def unreached(f):
+        raise AssertionError("a map was classified")
+
+    monkeypatch.setattr(sweep, "classify_polynomial_gap", unreached)
+    cases = {("chain2", "9"): "monotone maps of arity 9 need all those of arity 6: "
+                              "up to 7581^2 tables of 2^6 entries, more than the budget",
+             ("2x2", "6"): "monotone maps of arity 6 need all those of arity 5: "
+                           "up to 28224^2 tables of 2^5 entries, more than the budget",
+             ("chain40", "5"): "a value table of 40^5 entries exceeds the budget"}
+    for (name, arity), message in cases.items():
+        rc, out, err = run(capsys, ["verify", "gap-theorem", "--lattice", name,
+                                    "--arity", arity])
+        assert (rc, out, err) == (1, "", f"error: {message} of 10000000\n"), name

@@ -511,6 +511,31 @@ def test_monotone_maps_match_the_recursive_enumerator():
     assert compared == 26
 
 
+def test_monotone_maps_refuse_arities_past_the_budget(monkeypatch):
+    # Every arity j below n is built whole, so the call refuses one whose
+    # tables could hold more than DEFAULT_BUDGET entries, judged as
+    # |M(j - 1)|^2 * 2^j, before it is built. chain2/9 needs arity 6,
+    # 7,581^2 * 64 entries, and 2x2/6 arity 5, 28,224^2 * 32; 2x2/5,
+    # chain3/5 and 2x3/4 are drawn, in the reference order.
+    for spec, n, j, count in (("chain2", 9, 6, 7581), ("2x2", 6, 5, 28224),
+                              ("chain40", 5, 3, 235340)):
+        with pytest.raises(EnumerationBudgetError) as info:
+            enumerate_monotone_maps(n, builtin_lattice(spec))
+        assert str(info.value) == (
+            f"monotone maps of arity {n} need all those of arity {j}: up to {count}^2 "
+            f"tables of 2^{j} entries, more than the budget of 10000000"), spec
+    for spec, n in (("2x2", 5), ("chain3", 5), ("2x3", 4)):
+        lat = builtin_lattice(spec)
+        assert (list(itertools.islice(enumerate_monotone_maps(n, lat), 3000))
+                == list(itertools.islice(monotone_maps_recursive(n, lat), 3000))), spec
+    # chain2/4 builds arity 3 from the 6 tables of arity 2: 6^2 * 8 = 288.
+    monkeypatch.setattr(latgap.finfun, "DEFAULT_BUDGET", 288)
+    assert sum(1 for _ in enumerate_monotone_maps(4, chain(2))) == 168
+    monkeypatch.setattr(latgap.finfun, "DEFAULT_BUDGET", 287)
+    with pytest.raises(EnumerationBudgetError, match="arity 3: up to 6\\^2 tables of 2\\^3"):
+        enumerate_monotone_maps(4, chain(2))
+
+
 def test_minors_match_point_reference():
     # Every shape in both orders of (i, j), over alphabets whose fill
     # takes one to five shifts each way, the last one cut short or not.
