@@ -28,18 +28,24 @@ essential positions (the verdict is GapUndefined, as the oracle's
 - Lattice polynomial functions: gap 2 exactly for truncated medians,
   the functions (a or median(x,y,z)) and b with a strictly below b,
   possibly padded with inessential variables.
+  `polynomial_gap_codes` gives the same answers for a whole chunk of
+  coefficient tables at once, in byte lanes of their coefficient
+  columns, coded as finfun.lane_gap_codes codes the oracle's; the
+  gap-theorem sweep decides an agreeing chunk with it alone. It shares
+  no code with the oracle's lane core.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterator
+from itertools import combinations, compress
+from typing import Iterator, Sequence
 
 from .finfun import FiniteFn
 from .lattice import Elem
-from .polyfn import KEPT_JUMP_ARITY, PolyFn, _jump_plan, _jump_positions
+from .polyfn import KEPT_JUMP_ARITY, PolyFn, _check_arity, _jump_plan, _jump_positions
 
 
 @dataclass(frozen=True)
@@ -358,3 +364,70 @@ def classify_polynomial_gap(f: PolyFn) -> GapUndefined | Gap1 | TruncatedMedian:
             elements = f.lattice.elements
             return TruncatedMedian(elements[low], elements[high], ess)
     return Gap1(ess)
+
+
+def polynomial_gap_codes(arity: int, columns: Sequence[bytes]) -> tuple[bytes, bytes]:
+    """classify_polynomial_gap on a chunk of coefficient tables at once,
+    given in columns: byte f of column c is a_c of table f, one column
+    per subset mask. The tables are taken to be monotone, as
+    polyfn.value_columns proves them.
+
+    Returns the answers in the format of finfun.lane_gap_codes: the
+    masks, w = max(1, ceil(n / 8)) bytes per table, bytes f*w to
+    f*w+w-1 read little-endian with bit k-1 set when position k of table
+    f is essential; and one gap code byte per table, 0 below two
+    essential positions (gap undefined), 2 for a truncated median and 1
+    otherwise.
+
+    The columns are read as big-endian integers, byte lane f being table
+    f. Position k is essential in the lanes where a_c ^ a_{c+k} is
+    nonzero for some c without k, folded into each lane's lowest bit. A
+    bit-sliced counter over those planes marks the lanes with at least
+    two and exactly three essential positions. A lane whose three are
+    {i, j, k} holds a truncated median when a_0 = a_i = a_j = a_k and
+    a_ij = a_ik = a_jk = a_ijk, read on the masks of those positions
+    only, as classify_polynomial_gap reads them.
+
+    Raises ValueError for an arity that is not an int in 0..MAX_ARITY
+    and for columns that are not 2^arity of one length.
+    """
+    _check_arity(arity)
+    size = 1 << arity
+    if len(columns) != size or len(set(map(len, columns))) > 1:
+        raise ValueError(f"need {size} columns of one length")
+    count = len(columns[0])
+    lanes = [int.from_bytes(column, "big") for column in columns]
+    ones = int.from_bytes(b"\x01" * count, "big")
+    ess = []
+    for k in range(arity):
+        bit = 1 << k
+        plane = functools.reduce(operator.or_, [lanes[c] ^ lanes[c | bit]
+                                               for c in range(size) if not c & bit], 0)
+        for shift in (4, 2, 1):  # OR each lane's bits into its lowest
+            plane |= plane >> shift
+        ess.append(plane & ones)
+    one = two = three = four = 0  # the lanes with at least that many
+    for plane in ess:
+        four |= three & plane
+        three |= two & plane
+        two |= one & plane
+        one |= plane
+    exactly3 = three & ~four
+    median = 0
+    for i, j, k in combinations(range(arity), 3) if exactly3 else ():
+        triple = exactly3 & ess[i] & ess[j] & ess[k]
+        if not triple:
+            continue
+        i, j, k = 1 << i, 1 << j, 1 << k
+        low, high = lanes[0], lanes[i | j | k]
+        off = ((low ^ lanes[i]) | (low ^ lanes[j]) | (low ^ lanes[k]) | (high ^ lanes[i | j])
+               | (high ^ lanes[i | k]) | (high ^ lanes[j | k]))
+        for shift in (4, 2, 1):
+            off |= off >> shift
+        median |= triple & ~off
+    width = max(1, -(-arity // 8))
+    masks = bytearray(count * width)
+    for b in range(width):
+        masks[b::width] = sum(plane << s for s, plane in enumerate(ess[8 * b:8 * b + 8])
+                              ).to_bytes(count, "big")
+    return bytes(masks), (two + median).to_bytes(count, "big")

@@ -55,7 +55,8 @@ reference for single functions.
 `enumerate_monotone_maps` builds the monotone maps {0,1}^n -> L by
 doubling: a table of arity j is monotone exactly when its two halves
 are monotone tables A <= B of arity j - 1. It refuses, before building
-it, an arity below n whose tables could pass DEFAULT_BUDGET entries.
+it, an arity below n whose tables could pass DEFAULT_BUDGET entries, or
+whose tables, rank dicts and index lists would pass MONOTONE_BYTES.
 
 This module imports no other latgap module at run time, so the oracle
 knows only value tables.
@@ -79,6 +80,10 @@ class EnumerationBudgetError(ValueError):
 
 
 DEFAULT_BUDGET = 10_000_000
+
+# enumerate_monotone_maps refuses a shape whose lower arities would take
+# more than this many bytes as the Python objects it builds them into.
+MONOTONE_BYTES = 64 << 20
 
 # A table stores one value per byte.
 MAX_CODOMAIN = 256
@@ -571,6 +576,18 @@ def _double(tables: list[tuple[int, ...]], above: list[list[int]]
              for up in above for b in up))
 
 
+def _doubling_bytes(j: int, below: int, tables: int) -> int:
+    # An upper estimate of the bytes that _double holds while it builds
+    # `tables` tables of arity j from `below` of arity j - 1. Per table
+    # of arity j: its tuple (40 + 8 * 2^j bytes) and list slot, its rank
+    # dict entry with a fresh int, and its slot in an index list, 160
+    # bytes beyond the entries. Per table of arity j - 1: its tuple and
+    # list slot, its rank dict and its index list, 350 beyond the
+    # entries. Measured with tracemalloc to the first map drawn, the
+    # peak is 0.5 to 0.86 of this.
+    return tables * ((8 << j) + 160) + below * ((4 << j) + 350)
+
+
 def enumerate_monotone_maps(n: int, lattice: "Lattice") -> Iterator[tuple[int, ...]]:
     """Yield every monotone map {0,1}^n -> L exactly once, as a coefficient
     table (element indices by subset mask), in lexicographic order of
@@ -583,10 +600,13 @@ def enumerate_monotone_maps(n: int, lattice: "Lattice") -> Iterator[tuple[int, .
     above it, and the maps are drawn as the pairs A <= B of arity n - 1.
 
     Checks its arguments and builds those arities when called: an arity
-    that is not an int in 0..16 raises ValueError, and an arity j < n
-    whose tables could hold more than DEFAULT_BUDGET entries, judged as
-    |M(j - 1)|^2 * 2^j from the |M(j - 1)| tables of arity j - 1,
-    EnumerationBudgetError before it is built.
+    that is not an int in 0..16 raises ValueError. An arity j < n whose
+    tables could hold more than DEFAULT_BUDGET entries, judged as
+    |M(j - 1)|^2 * 2^j from the |M(j - 1)| tables of arity j - 1, raises
+    EnumerationBudgetError before it is built; so does one whose tables,
+    rank dicts and index lists would take more than MONOTONE_BYTES at
+    their CPython cost, judged from the exact count |M(j)| that the
+    index lists of arity j - 1 give.
     """
     if not isinstance(n, int) or not 0 <= n <= 16:
         raise ValueError("arity must be an int in 0..16")
@@ -601,7 +621,15 @@ def enumerate_monotone_maps(n: int, lattice: "Lattice") -> Iterator[tuple[int, .
                 f"monotone maps of arity {n} need all those of arity {j}: up to "
                 f"{len(tables)}^2 tables of 2^{j} entries, more than the budget of "
                 f"{DEFAULT_BUDGET}")
-        tables, above = _double(tables, list(above))
+        above = list(above)
+        count = sum(map(len, above))
+        cost = _doubling_bytes(j, len(tables), count)
+        if cost > MONOTONE_BYTES:
+            raise EnumerationBudgetError(
+                f"monotone maps of arity {n} need all those of arity {j}: {count} tables "
+                f"of 2^{j} entries, about {cost} bytes as Python objects, more than the "
+                f"budget of {MONOTONE_BYTES} bytes")
+        tables, above = _double(tables, above)
     return (table + tables[b] for table, up in zip(tables, above) for b in up)
 
 

@@ -215,22 +215,26 @@ def value_table(f: PolyFn) -> FiniteFn:
 
 
 def value_columns(lattice: Lattice, arity: int, maps: Sequence[tuple[int, ...]]
-                  ) -> tuple[list[PolyFn], list[bytes], list[bytes]]:
-    """A chunk of m coefficient tables as PolyFns over `lattice`, with
-    their coefficient and value tables in columns of m bytes: byte f of
-    coefficient column c is a_c of map f, and byte f of value column p
-    is entry p of its value_table.
+                  ) -> tuple[Sequence[tuple[int, ...]], list[bytes], list[bytes]]:
+    """A chunk of m coefficient tables over `lattice`, proved monotone,
+    with their coefficient and value tables in columns of m bytes: byte f
+    of coefficient column c is a_c of map f, and byte f of value column p
+    is entry p of its value_table. The maps come back as given.
 
-    The columns run through value_table's n passes: A and B are the even
-    and odd columns joined, and the output, cut every m bytes, gives the
-    next columns. A pass's block for v = top, A or B, equals B exactly
-    when A <= B entrywise, as a monotone table has it; and once the
-    passes before j proved a_I <= a_{I+i} for i < j, pass j reads a_{I+J}
-    and a_{I+J+j} at the point that is top on J and bottom elsewhere.
-    If shape, range (read as `bytes` reads it) or a pass fails, the
-    PolyFn constructor runs on each map in order, and the first bad map
-    raises its own error. The last output gets FiniteFn's checks, and
-    raises FiniteFn's error for the first map whose table fails them.
+    The maps, joined map after map, run through value_table's n passes
+    as one table: each pass reads A and B as the even and odd bytes of
+    the whole blob, so it takes the lowest coefficient bit left of every
+    map at once and puts the new digit above the maps. After n passes
+    the blob is point after point, m bytes each, and is cut into the
+    value columns once. A pass's block for v = top, A or B, equals B
+    exactly when A <= B entrywise, as a monotone table has it; and once
+    the passes before j proved a_I <= a_{I+i} for i < j, pass j reads
+    a_{I+J} and a_{I+J+j} at the point that is top on J and bottom
+    elsewhere. If shape, range (read as `bytes` reads it) or a pass
+    fails, the PolyFn constructor runs on each map in order, and the
+    first bad map raises its own error. The last output gets FiniteFn's
+    checks, and raises FiniteFn's error for the first map whose table
+    fails them.
 
     Raises value_table's errors, and PolyFn's for a bad arity, before
     reading a map.
@@ -243,14 +247,13 @@ def value_columns(lattice: Lattice, arity: int, maps: Sequence[tuple[int, ...]]
         out = bytes(itertools.chain.from_iterable(maps))
         if out.translate(None, _BYTES[:k]):
             raise ValueError("a value out of range")
-        columns = table = [out[c::size] for c in range(size)]
+        columns = [out[c::size] for c in range(size)]
         for _ in range(arity):
-            high = b"".join(table[1::2])
-            out = _extend_table(lattice, b"".join(table[0::2]), high)
+            high = out[1::2]
+            out = _extend_table(lattice, out[0::2], high)
             top = lattice.top_index * len(high)
             if out[top:top + len(high)] != high:
                 raise ValueError("a map not monotone")
-            table = [out[p * m:(p + 1) * m] for p in range(k * len(table) // 2)]
     except (TypeError, ValueError):
         for coeffs in maps:
             PolyFn(lattice, arity, coeffs)  # the first bad map raises
@@ -258,7 +261,7 @@ def value_columns(lattice: Lattice, arity: int, maps: Sequence[tuple[int, ...]]
     if len(out) != k ** arity * m or out.translate(None, _BYTES[:k]):
         for f in range(m):
             FiniteFn((k,) * arity, k, out[f::m])
-    return [_proven_polyfn(lattice, arity, coeffs) for coeffs in maps], columns, table
+    return maps, columns, [out[p * m:(p + 1) * m] for p in range(k ** arity)]
 
 
 def _jump_plan(n: int, bits: int) -> tuple[tuple[int, int, int], ...]:

@@ -339,3 +339,33 @@ def monotone_maps_recursive(n: int, lattice: Lattice):
                 yield from rec(mask + 1)
 
     return rec(0)
+
+
+def patch_batch_classifier(monkeypatch, recode) -> list[int]:
+    """Patch the gap-theorem sweep's batch classifier: map s of the sweep,
+    counted from 0, gets the (mask, code) that recode(s, mask, code)
+    makes of its answer, the mask read as an int. From the second chunk
+    on, the sweep's value_columns fails unless the patch ran on the
+    first, so a sweep that no longer reads this seam stops at once
+    instead of sweeping a whole shape. Returns the maps seen per chunk."""
+    import latgap.sweep as sweep
+    real, columns = sweep.polynomial_gap_codes, sweep.value_columns
+    seen: list[int] = []
+    calls = itertools.count()
+
+    def batch(arity, coefficient_columns):
+        masks, codes = real(arity, coefficient_columns)
+        width, first = max(1, -(-arity // 8)), sum(seen)
+        seen.append(len(codes))
+        answers = [recode(first + f, int.from_bytes(masks[f * width:(f + 1) * width], "little"),
+                          code) for f, code in enumerate(codes)]
+        return (b"".join(mask.to_bytes(width, "little") for mask, _ in answers),
+                bytes(code for _, code in answers))
+
+    def checked(*args):
+        assert next(calls) == 0 or seen, "the batch classifier did not run on the first chunk"
+        return columns(*args)
+
+    monkeypatch.setattr(sweep, "polynomial_gap_codes", batch)
+    monkeypatch.setattr(sweep, "value_columns", checked)
+    return seen

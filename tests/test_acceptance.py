@@ -22,8 +22,8 @@ from latgap import (EnumerationBudgetError, PolyFn, builtin_lattice, canonicaliz
                     gap_bruteforce, product, salomaa_function, value_table)
 from latgap.finfun import lane_gap_codes
 from latgap.sweep import sweep_boolean, sweep_gap_theorem, sweep_pseudo_boolean
-from helpers import (eval_dnf, eval_term, leq, monotone_maps_recursive, random_term,
-                     restrict_to_01)
+from helpers import (eval_dnf, eval_term, leq, monotone_maps_recursive,
+                     patch_batch_classifier, random_term, restrict_to_01)
 
 LATTICES = ("chain2", "chain3", "chain4", "2x2", "2x3")
 
@@ -131,26 +131,31 @@ def test_pseudo_boolean_sweep_scans_each_function_once(monkeypatch):
 
 
 def test_gap_theorem_sweep_scans_each_map_once(monkeypatch):
-    # The classifier finds the essential positions once per map, with
-    # the coefficient-jump scan, and reads the truncated-median
-    # coefficients off the map itself, so the sweep neither scans a map
-    # twice nor builds a reduced function.
+    # The batch classifier reads each map once, in its chunk's
+    # coefficient columns. Agreeing chunks, here all nine, build no
+    # PolyFn, run no per-function classifier and scan no map alone.
     import latgap.classify as classify
     import latgap.polyfn as polyfn
     import latgap.sweep as sweep
-    calls = {"_jump_positions": 0, "reduce_to_essential": 0}
+    calls = dict.fromkeys(("classify_polynomial_gap", "_proven_polyfn", "_jump_positions",
+                           "reduce_to_essential", "__post_init__"), 0)
     for name in calls:
-        real = getattr(polyfn, name)
+        owner = PolyFn if name == "__post_init__" else polyfn
+        real = getattr(owner, name, None) or getattr(classify, name)
 
         def counted(*args, _name=name, _real=real):
             calls[_name] += 1
             return _real(*args)
 
-        for module in (polyfn, classify, sweep):
+        for module in ((owner,) if owner is PolyFn else (polyfn, classify, sweep)):
             monkeypatch.setattr(module, name, counted, raising=False)
+    maps = []
+    batch = sweep.polynomial_gap_codes
+    monkeypatch.setattr(sweep, "polynomial_gap_codes", lambda n, columns: (
+        maps.append(len(columns[0])) or batch(n, columns)))
     report = sweep_gap_theorem("2x2", builtin_lattice("2x2"), 3)
-    assert report.ok and report.scanned == 400
-    assert calls == {"_jump_positions": 400, "reduce_to_essential": 0}
+    assert report.ok and report.scanned == sum(maps) == 400 and len(maps) == 9
+    assert calls == dict.fromkeys(calls, 0)
 
 
 def test_criterion_3_lattice_sweep_matches_oracle():
@@ -318,10 +323,11 @@ def test_gap_theorem_sweep_tables_match_value_table(monkeypatch):
 def test_gap_theorem_sweep_chunks_do_not_change_reports(monkeypatch):
     # Chunks grow 1, 2, 4, ... maps up to a cap that CHUNK_BYTES sets.
     # 2x2/3 has 64-point tables and 8 coefficients: a byte budget of
-    # 100 * 72 + 7 * (4 * 64 + 16 * 8 + 256) caps chunks at 7 maps, and
-    # one of 64 at one map. The reports match the default cap of 1024, with
-    # the right classifier and with one that calls every gap 1, which
-    # the first truncated median, map 45, contradicts.
+    # 50 * 64 + 300 * 8 + 7 * (4 * 64 + 12 * 8 + 64) caps chunks at 7
+    # maps, and one of 64 at one map. The reports match the default cap
+    # of 1024, with the right classifier and with one that calls every
+    # gap 1, in both its batch and its per-function form, which the
+    # first truncated median, map 45, contradicts.
     import latgap.sweep as sweep
     from latgap.classify import Gap1, classify_polynomial_gap
 
@@ -329,11 +335,14 @@ def test_gap_theorem_sweep_chunks_do_not_change_reports(monkeypatch):
         verdict = classify_polynomial_gap(f)
         return verdict if verdict.gap is None else Gap1(verdict.essential)
 
-    for classifier, scanned in ((classify_polynomial_gap, 400), (gap_one, 45)):
+    for wrong, scanned in ((False, 400), (True, 45)):
         reports = []
-        for budget, size in ((sweep.CHUNK_BYTES, 1024), (7200 + 7 * 640, 7), (64, 1)):
+        for budget, size in ((sweep.CHUNK_BYTES, 1024), (5600 + 7 * 416, 7), (64, 1)):
             monkeypatch.setattr(sweep, "CHUNK_BYTES", budget)
-            monkeypatch.setattr(sweep, "classify_polynomial_gap", classifier)
+            if wrong:
+                monkeypatch.setattr(sweep, "classify_polynomial_gap", gap_one)
+                seen = patch_batch_classifier(monkeypatch, lambda s, mask, code: (
+                    mask, min(code, 1)))
             tables = []
             chunks = _capture_lanes(monkeypatch, tables)
             reports.append(sweep_gap_theorem("2x2", builtin_lattice("2x2"), 3).to_json())
@@ -344,60 +353,59 @@ def test_gap_theorem_sweep_chunks_do_not_change_reports(monkeypatch):
             ramp = [min(1 << k, size) for k in range(len(chunks))]
             assert chunks[:-1] == ramp[:-1] and 0 < chunks[-1] <= ramp[-1]
             assert scanned <= len(tables) < 2 * scanned
+            assert not wrong or seen == chunks
         assert reports[0] == reports[1] == reports[2]
         assert reports[0]["monotone_maps"] == scanned
-        assert reports[0]["ok"] is (classifier is classify_polynomial_gap)
+        assert reports[0]["ok"] is not wrong
 
 
 def _chunk_peak(lat, arity: int, m: int) -> int:
     """Peak traced bytes of one gap-theorem chunk of m maps, made as the
-    sweep makes it: drawn, built in columns, run through both lane
-    calls, then classified once the columns are gone. The maps come
-    from the reference enumerator, which streams shapes whose lower
-    arities enumerate_monotone_maps refuses to build."""
+    sweep makes it: drawn, built in columns and run through the three
+    batch calls. The maps come from the reference enumerator, which
+    streams shapes whose lower arities enumerate_monotone_maps refuses
+    to build."""
     import tracemalloc
-    from latgap.classify import classify_polynomial_gap
+    from latgap.classify import polynomial_gap_codes
     from latgap.polyfn import value_columns
     tracemalloc.start()
     try:
         maps = list(itertools.islice(monotone_maps_recursive(arity, lat), m))
-        fns, coefficients, values = value_columns(lat, arity, maps)
+        _, coefficients, values = value_columns(lat, arity, maps)
         lane_gap_codes((lat.size,) * arity, values)
         lane_gap_codes((2,) * arity, coefficients)
-        del coefficients, values
-        verdicts = list(map(classify_polynomial_gap, fns))
+        codes = polynomial_gap_codes(arity, coefficients)[1]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(verdicts) == m
+    assert len(codes) == m
     return peak
 
 
 def test_gap_theorem_sweep_chunks_fit_their_byte_budget(monkeypatch):
     # Under a byte budget a sweep's chunks grow to the most maps the
-    # rule (4E + 16 * 2^n + 256) * m + 100 * (E + 2^n) allows, and one
-    # chunk of that many maps, from drawing them to classifying them,
+    # rule (4E + 12 * 2^n + 64) * m + 50E + 300 * 2^n allows, and one
+    # chunk of that many maps, from drawing them to its batch answers,
     # peaks within the rule and above half of it. Under 1 MiB, chain2/9
     # has as many coefficients as points and 2x2/6 64 times fewer; under
     # the default budget, 2x2/4 chunks reach CHUNK_MAPS = 1024 maps. The
-    # maps come from the reference enumerator, in the same order.
+    # maps come from the reference enumerator, in the same order; the
+    # batch classifier is wrong on map 2 * most, which stops the sweep.
     import latgap.sweep as sweep
-    from latgap.classify import Gap1, classify_polynomial_gap
     from latgap.polyfn import value_columns
-    for name, arity, budget, most in (("chain2", 9, 1 << 20, 90), ("2x2", 6, 1 << 20, 35),
+    for name, arity, budget, most in (("chain2", 9, 1 << 20, 105), ("2x2", 6, 1 << 20, 47),
                                       ("2x2", 4, sweep.CHUNK_BYTES, 1024)):
         lat = builtin_lattice(name)
         points, subsets = lat.size ** arity, 1 << arity
-        rule = (4 * points + 16 * subsets + 256) * most + 100 * (points + subsets)
+        rule = (4 * points + 12 * subsets + 64) * most + 50 * points + 300 * subsets
         assert rule <= budget
         monkeypatch.setattr(sweep, "CHUNK_BYTES", budget)
         monkeypatch.setattr(sweep, "enumerate_monotone_maps", monotone_maps_recursive)
         chunks = []
         monkeypatch.setattr(sweep, "value_columns", lambda lat, n, maps: (
             chunks.append(len(maps)) or value_columns(lat, n, maps)))
-        drawn = itertools.count(1)
-        monkeypatch.setattr(sweep, "classify_polynomial_gap", lambda f: (
-            classify_polynomial_gap(f) if next(drawn) < 2 * most else Gap1(())))
+        patch_batch_classifier(monkeypatch, lambda s, mask, code, _last=2 * most - 1: (
+            (mask, code) if s < _last else (0, 1)))
         assert sweep_gap_theorem(name, lat, arity).scanned == 2 * most
         assert max(chunks) == most
         monkeypatch.undo()
@@ -447,7 +455,9 @@ def test_sweeps_stop_at_a_disagreement_on_any_chunk_boundary(monkeypatch):
     # sweep there with the counts of the functions before it, which its
     # chunk's other answers must not change. The right positions out of
     # order are wrong too; as a set they match the replay, so that
-    # counterexample also names the batch answers.
+    # counterexample also names the batch answers. On the gap-theorem
+    # sweep the batch classifier is wrong on map s as well, with a gap
+    # code of 3, which it never writes.
     chain3 = builtin_lattice("chain3")
     maps = list(enumerate_monotone_maps(4, chain3))
     for s, wrong in ((1023, _out_of_range), (2046, _out_of_range), (2559, _out_of_range),
@@ -457,6 +467,8 @@ def test_sweeps_stop_at_a_disagreement_on_any_chunk_boundary(monkeypatch):
         essential = sorted(oracle.essential)
         assert len(essential) >= 2
         _wrong_on(monkeypatch, "classify_polynomial_gap", maps[s], wrong)
+        patch_batch_classifier(monkeypatch, lambda t, mask, code, _s=s: (
+            mask, 3 if t == _s else code))
         report = sweep_gap_theorem("chain3", chain3, 4)
         monkeypatch.undo()
         assert report.to_json()["monotone_maps"] == s + 1
@@ -493,20 +505,23 @@ def test_sweeps_stop_at_a_disagreement_on_any_chunk_boundary(monkeypatch):
 def test_gap_theorem_sweep_reads_two_byte_masks(monkeypatch):
     # At arity 9 a batch mask takes two bytes. Of the first 300 maps of
     # chain2/9, 245 have all 9 positions essential; the first 299 agree
-    # through the lanes, and a classifier that drops a position from map
-    # 300 on stops the sweep there, in the chunk of maps 256 to 511:
-    # chunks of 1, 2, 4, ..., 256 maps built 511 maps in all. The maps
-    # come from the reference enumerator, in the same order.
+    # through the lanes, and a classifier that drops the last position
+    # from map 300 on, in its batch and its per-function form, stops the
+    # sweep there, in the chunk of maps 256 to 511: chunks of 1, 2, 4,
+    # ..., 256 maps built 511 maps in all. The maps come from the
+    # reference enumerator, in the same order.
     import latgap.sweep as sweep
     from latgap.classify import Gap1, classify_polynomial_gap
-    drawn = itertools.count(1)
+    later = set(itertools.islice(monotone_maps_recursive(9, builtin_lattice("chain2")), 299, 511))
 
     def wrong_from_300(f):
         verdict = classify_polynomial_gap(f)
-        return verdict if next(drawn) < 300 else Gap1(verdict.essential[:-1])
+        return verdict if f.table not in later else Gap1(verdict.essential[:-1])
 
     monkeypatch.setattr(sweep, "classify_polynomial_gap", wrong_from_300)
     monkeypatch.setattr(sweep, "enumerate_monotone_maps", monotone_maps_recursive)
+    patch_batch_classifier(monkeypatch, lambda s, mask, code: (
+        (mask, code) if s < 299 else (mask & ~(1 << mask.bit_length() - 1), 1)))
     chunks = _capture_lanes(monkeypatch, [])
     report = sweep_gap_theorem("chain2", builtin_lattice("chain2"), 9)
     assert (report.scanned, report.analyzed, report.gap_counts) == (300, 299, {1: 298, 2: 0})
@@ -543,8 +558,8 @@ def test_gap_theorem_sweep_keeps_no_state_between_runs(monkeypatch):
     import latgap.sweep as sweep
     runs = []
     for _ in range(2):
-        calls = {"value_table": 0, "lane_gap_codes": 0, "gap_bruteforce": 0,
-                 "ess_bruteforce": 0}
+        calls = {"value_table": 0, "lane_gap_codes": 0, "polynomial_gap_codes": 0,
+                 "gap_bruteforce": 0}
         for name in calls:
             def counted(*args, _name=name, _real=getattr(sweep, name), _calls=calls):
                 _calls[_name] += 1
@@ -555,8 +570,8 @@ def test_gap_theorem_sweep_keeps_no_state_between_runs(monkeypatch):
         runs.append((report.to_json(), calls))
     assert runs[0] == runs[1]
     # The 400 maps make nine chunks, of 1, 2, 4, ..., 128 and 145, each
-    # with one lane call on the value columns and one on the coefficient
-    # columns; no map disagrees, so none gets a value_table or a search
-    # of its own.
+    # with one lane call on the value columns, one on the coefficient
+    # columns and one batch classifier call; no map disagrees, so none
+    # gets a value_table or a search of its own.
     assert runs[0][1] == {"value_table": 0, "lane_gap_codes": 18,
-                          "gap_bruteforce": 0, "ess_bruteforce": 0}
+                          "polynomial_gap_codes": 9, "gap_bruteforce": 0}

@@ -6,17 +6,19 @@ from pathlib import Path
 from types import ModuleType
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import latgap.classify
 import latgap.finfun
 from latgap import (FOURTH_FORM, MEDIAN_FORM, MIXED_FORM, SUM_FORM,
-                    BooleanForm, FiniteFn, Gap1, GapUndefined,
+                    BooleanForm, FiniteFn, Gap1, GapUndefined, PolyFn,
                     PseudoBooleanCase, TruncatedMedian, ZhegalkinPoly,
-                    boolean_gap_codes, canonicalize, classify_boolean_gap,
+                    boolean_gap_codes, builtin_lattice, canonicalize, classify_boolean_gap,
                     classify_polynomial_gap, classify_pseudo_boolean_gap,
-                    enumerate_all_functions, ess_bruteforce, gap_bruteforce,
-                    parse_expr, simple_substitution, value_table,
+                    enumerate_all_functions, enumerate_monotone_maps, ess_bruteforce,
+                    gap_bruteforce, parse_expr, simple_substitution, value_table,
                     zhegalkin_from_table)
+from latgap.classify import polynomial_gap_codes
 from helpers import (from_monotone_table, monotone_tables_by_filter, reduce_by_points,
                      zhegalkin_evaluate)
 from latgap.sweep import sweep_boolean, sweep_pseudo_boolean
@@ -524,3 +526,78 @@ def test_memo_caches_are_bounded():
         assert _unbounded_caches(source) == lines, source
     for path in Path(latgap.classify.__file__).parent.glob("*.py"):
         assert _unbounded_caches(path.read_text()) == [], path.name
+
+
+def _coded_verdicts(fns) -> tuple[bytes, bytes]:
+    """classify_polynomial_gap's verdicts on `fns`, coded as the batch
+    classifier codes them."""
+    width = max(1, -(-fns[0].arity // 8))
+    verdicts = [classify_polynomial_gap(f) for f in fns]
+    return (b"".join(sum(1 << p - 1 for p in v.essential).to_bytes(width, "little")
+                     for v in verdicts),
+            bytes({None: 0, 1: 1, 2: 2}[v.gap] for v in verdicts))
+
+
+def _coefficient_columns(arity: int, tables) -> list[bytes]:
+    blob, size = bytes(itertools.chain.from_iterable(tables)), 1 << arity
+    return [blob[c::size] for c in range(size)]
+
+
+def test_batch_classifier_ties_to_the_per_function_one():
+    # Every map of six shapes, in chunks of up to 1,024 maps: the batch
+    # masks and gap codes are classify_polynomial_gap's, map for map.
+    for name, arity in (("2x2", 3), ("2x2", 4), ("chain3", 4), ("cube3", 3), ("chain4", 3),
+                        ("chain17", 2)):
+        lat = builtin_lattice(name)
+        maps = list(enumerate_monotone_maps(arity, lat))
+        for start in range(0, len(maps), 1024):
+            chunk = maps[start:start + 1024]
+            assert polynomial_gap_codes(arity, _coefficient_columns(arity, chunk)) == (
+                _coded_verdicts([PolyFn(lat, arity, t) for t in chunk])), (name, arity, start)
+    # Arity 0 has one column and no position; an empty chunk answers empty.
+    assert polynomial_gap_codes(0, [b"\x01\x00"]) == (b"\x00\x00", b"\x00\x00")
+    assert polynomial_gap_codes(2, [b""] * 4) == (b"", b"")
+    for arity, columns in ((2, [b"\x00"] * 3), (1, [b"\x00", b"\x00\x00"]), (17, [b""])):
+        with pytest.raises(ValueError):
+            polynomial_gap_codes(arity, columns)
+
+
+_WIDE_LATTICES = ("chain2", "chain3", "2x2", "cube3", "chain17")
+
+
+@st.composite
+def wide_coefficient_chunks(draw):
+    """A lattice, an arity of 9 to 12, whose masks take two bytes, and 1
+    to 3 monotone tables of it: join-zeta transforms of a few
+    coefficients on small position sets, or truncated medians on three
+    positions, padded with inessential ones."""
+    lat = builtin_lattice(draw(st.sampled_from(_WIDE_LATTICES)))
+    n, join, k = draw(st.integers(9, 12)), lat._join, lat.size
+    positions = st.sets(st.integers(0, n - 1), max_size=3).map(lambda s: sum(1 << p for p in s))
+    strict = [(a, b) for a in range(k) for b in range(k) if a != b and lat._up[a] >> b & 1]
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            table = [lat.bottom_index] * (1 << n)
+            for mask, v in draw(st.lists(st.tuples(positions, st.integers(0, k - 1)),
+                                         max_size=6)):
+                table[mask] = join[table[mask]][v]
+            for p in range(n):  # the join-zeta transform, one position at a time
+                for mask in range(1 << n):
+                    if mask >> p & 1:
+                        table[mask] = join[table[mask]][table[mask ^ 1 << p]]
+        else:
+            triple = draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
+            low, high = draw(st.sampled_from(strict))
+            table = [high if sum(mask >> p & 1 for p in triple) >= 2 else low
+                     for mask in range(1 << n)]
+        tables.append(tuple(table))
+    return lat, n, tables
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(wide_coefficient_chunks())
+def test_batch_classifier_ties_on_two_byte_masks(chunk):
+    lat, n, tables = chunk
+    assert polynomial_gap_codes(n, _coefficient_columns(n, tables)) == _coded_verdicts(
+        [PolyFn(lat, n, t) for t in tables])

@@ -15,7 +15,7 @@ from latgap import (GapReport, LatticeError, builtin_lattice, chain, ess_brutefo
 from latgap.classify import (Gap1, GapUndefined, classify_boolean_gap,
                              classify_polynomial_gap)
 from latgap.cli import load_lattice, main
-from helpers import M3_COVERS, M3_NAMES, monotone_tables_by_filter
+from helpers import M3_COVERS, M3_NAMES, monotone_tables_by_filter, patch_batch_classifier
 
 MEDIAN = "(x1 & x2) | (x2 & x3) | (x3 & x1)"
 
@@ -393,6 +393,8 @@ MEDIAN_COEFFICIENTS = ["0", "0", "0", "a", "0", "a", "a", "a"]
 
 
 def test_gap_theorem_sweep_checks_the_classifier(capsys, monkeypatch):
+    # A classifier that calls every gap 1, in its batch and its
+    # per-function form, stops the sweep at the first truncated median.
     import latgap.sweep as sweep
 
     def gap_one(f):
@@ -400,6 +402,7 @@ def test_gap_theorem_sweep_checks_the_classifier(capsys, monkeypatch):
         return verdict if verdict.gap is None else Gap1(verdict.essential)
 
     monkeypatch.setattr(sweep, "classify_polynomial_gap", gap_one)
+    patch_batch_classifier(monkeypatch, lambda s, mask, code: (mask, min(code, 1)))
     rc, payload, _ = run_json(capsys, GAP_THEOREM)
     assert (rc, payload["ok"], payload["monotone_maps"]) == (2, False, 28)
     assert payload["counterexample"] == {
@@ -427,6 +430,7 @@ def test_gap_theorem_sweep_rejects_a_gap_of_three(capsys, monkeypatch):
 
     monkeypatch.setattr(sweep, "gap_bruteforce", oracle)
     monkeypatch.setattr(sweep, "classify_polynomial_gap", classifier)
+    patch_batch_classifier(monkeypatch, lambda s, mask, code: (mask, 3 if code == 2 else code))
     rc, payload, _ = run_json(capsys, GAP_THEOREM)
     assert (rc, payload["ok"], payload["monotone_maps"]) == (2, False, 28)
     assert payload["counterexample"] == {
@@ -481,6 +485,56 @@ def test_gap_theorem_sweep_names_a_wrong_batch_oracle(capsys, monkeypatch):
         "batch_essential": [1, 2, 3], "batch_restricted_essential": [1, 2, 3]}
     rc, out, _ = run(capsys, GAP_THEOREM)
     assert rc == 2 and '"batch_gap": 1' in out and out.endswith("result: DISAGREEMENT\n")
+
+
+def test_gap_theorem_sweep_checks_the_restricted_gap(capsys, monkeypatch):
+    # The 0/1 restrictions' batch gap codes are compared too. With the
+    # truncated medians' restricted codes read as gap 1, the sweep stops
+    # at the first of them: the replay sides with the classifier and the
+    # counterexample names the batch restricted gap. When the replay of
+    # the restriction also reads gap 1, it names `restricted_gap`, and
+    # no batch answer.
+    import latgap.sweep as sweep
+    real_lanes, real_oracle = sweep.lane_gap_codes, sweep.gap_bruteforce
+
+    def restricted_as_one(sizes, columns):
+        masks, codes = real_lanes(sizes, columns)
+        return masks, codes.replace(b"\x02", b"\x01") if sizes[0] == 2 else codes
+
+    def restriction_as_one(f):
+        report = real_oracle(f)
+        if f.sizes[0] != 2 or report.gap != 2:
+            return report
+        return GapReport(report.essential, report.ess, report.ess - 1, 1)
+
+    monkeypatch.setattr(sweep, "lane_gap_codes", restricted_as_one)
+    found = {"coefficients": MEDIAN_COEFFICIENTS, "classifier_gap": 2, "oracle_gap": 2,
+             "essential": [1, 2, 3], "oracle_essential": [1, 2, 3],
+             "restricted_essential": [1, 2, 3]}
+    rc, payload, _ = run_json(capsys, GAP_THEOREM)
+    assert (rc, payload["ok"], payload["monotone_maps"]) == (2, False, 28)
+    assert payload["counterexample"] == {
+        **found, "batch_gap": 2, "batch_essential": [1, 2, 3],
+        "batch_restricted_essential": [1, 2, 3], "batch_restricted_gap": 1}
+    monkeypatch.setattr(sweep, "gap_bruteforce", restriction_as_one)
+    rc, payload, _ = run_json(capsys, GAP_THEOREM)
+    assert (rc, payload["ok"], payload["monotone_maps"]) == (2, False, 28)
+    assert payload["counterexample"] == {**found, "restricted_gap": 1}
+
+
+def test_gap_theorem_sweep_names_a_wrong_batch_classifier(capsys, monkeypatch):
+    # A map where only the batch classifier disagrees is a
+    # counterexample: the verdict, the oracles and the replay agree, so
+    # it names the batch answers, the batch classifier's among them.
+    patch_batch_classifier(monkeypatch, lambda s, mask, code: (mask, min(code, 1)))
+    rc, payload, _ = run_json(capsys, GAP_THEOREM)
+    assert (rc, payload["ok"], payload["monotone_maps"]) == (2, False, 28)
+    assert payload["counterexample"] == {
+        "coefficients": MEDIAN_COEFFICIENTS, "classifier_gap": 2, "oracle_gap": 2,
+        "essential": [1, 2, 3], "oracle_essential": [1, 2, 3],
+        "restricted_essential": [1, 2, 3], "batch_gap": 2, "batch_essential": [1, 2, 3],
+        "batch_restricted_essential": [1, 2, 3], "batch_classifier_gap": 1,
+        "batch_classifier_essential": [1, 2, 3]}
 
 
 def test_boolean_sweep_names_a_wrong_batch_oracle(capsys, monkeypatch):
@@ -671,10 +725,11 @@ def test_gap_theorem_refuses_shapes_past_the_budget(capsys, monkeypatch):
     # error, checked before any map is enumerated.
     import latgap.sweep as sweep
 
-    def unreached(f):
+    def unreached(*args):
         raise AssertionError("a map was classified")
 
     monkeypatch.setattr(sweep, "classify_polynomial_gap", unreached)
+    monkeypatch.setattr(sweep, "polynomial_gap_codes", unreached)
     cases = {("chain2", "9"): "monotone maps of arity 9 need all those of arity 6: "
                               "up to 7581^2 tables of 2^6 entries, more than the budget",
              ("2x2", "6"): "monotone maps of arity 6 need all those of arity 5: "

@@ -536,6 +536,38 @@ def test_monotone_maps_refuse_arities_past_the_budget(monkeypatch):
         enumerate_monotone_maps(4, chain(2))
 
 
+def test_monotone_maps_count_their_python_objects(monkeypatch):
+    # The budget in entries passes chain55/3, 1,540^2 * 4 entries, but
+    # its 819,280 tables of arity 2, their rank dicts and index lists
+    # would take about 158 MB as Python objects (134 MB traced), more
+    # than MONOTONE_BYTES: the call refuses them having built only
+    # arity 1 and counted arity 2. On shapes it accepts, the traced peak
+    # up to the first map stays within the estimate for each arity.
+    estimates = []
+    real = latgap.finfun._doubling_bytes
+    monkeypatch.setattr(latgap.finfun, "_doubling_bytes", lambda *args: (
+        estimates.append(real(*args)) or estimates[-1]))
+    for spec, n in (("chain55", 3), ("chain30", 3), ("2x2", 5), ("chain3", 5), ("2x3", 4)):
+        lat = builtin_lattice(spec)
+        estimates.clear()
+        tracemalloc.start()
+        try:
+            first = next(enumerate_monotone_maps(n, lat))
+        except EnumerationBudgetError as refused:
+            first, error = None, str(refused)
+        finally:
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        if spec == "chain55":
+            assert first is None and peak < 8 << 20, peak
+            assert error == (
+                f"monotone maps of arity 3 need all those of arity 2: 819280 tables of 2^2 "
+                f"entries, about {real(2, 1540, 819280)} bytes as Python objects, more than "
+                f"the budget of {64 << 20} bytes")
+        else:
+            assert first == (0,) * (1 << n) and peak <= max(estimates), (spec, peak)
+
+
 def test_minors_match_point_reference():
     # Every shape in both orders of (i, j), over alphabets whose fill
     # takes one to five shifts each way, the last one cut short or not.
