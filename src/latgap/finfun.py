@@ -54,9 +54,10 @@ reference for single functions.
 
 `enumerate_monotone_maps` builds the monotone maps {0,1}^n -> L by
 doubling: a table of arity j is monotone exactly when its two halves
-are monotone tables A <= B of arity j - 1. It refuses, before building
-it, an arity below n whose tables could pass DEFAULT_BUDGET entries, or
-whose tables, rank dicts and index lists would pass MONOTONE_BYTES.
+are monotone tables A <= B of arity j - 1. It refuses an arity below n
+whose tables could pass DEFAULT_BUDGET entries before building the
+arity under it, and one whose tables, rank dicts and index lists would
+pass MONOTONE_BYTES before building it.
 
 This module imports no other latgap module at run time, so the oracle
 knows only value tables.
@@ -602,25 +603,29 @@ def enumerate_monotone_maps(n: int, lattice: "Lattice") -> Iterator[tuple[int, .
     Checks its arguments and builds those arities when called: an arity
     that is not an int in 0..16 raises ValueError. An arity j < n whose
     tables could hold more than DEFAULT_BUDGET entries, judged as
-    |M(j - 1)|^2 * 2^j from the |M(j - 1)| tables of arity j - 1, raises
-    EnumerationBudgetError before it is built; so does one whose tables,
-    rank dicts and index lists would take more than MONOTONE_BYTES at
-    their CPython cost, judged from the exact count |M(j)| that the
-    index lists of arity j - 1 give.
+    |M(j - 1)|^2 * 2^j, raises EnumerationBudgetError as soon as the
+    count |M(j - 1)| is known, before arity j - 1 is built; so does one
+    whose tables, rank dicts and index lists would take more than
+    MONOTONE_BYTES at their CPython cost, judged from the exact count
+    |M(j)| that the index lists of arity j - 1 give.
     """
     if not isinstance(n, int) or not 0 <= n <= 16:
         raise ValueError("arity must be an int in 0..16")
     k, up = lattice.size, lattice._up
-    tables = [(v,) for v in range(k)]
+    tables, count = [(v,) for v in range(k)], k
     if n == 0:
         return iter(tables)
     above = ([w for w in range(k) if up[v] >> w & 1] for v in range(k))
     for j in range(1, n):
-        if len(tables) ** 2 << j > DEFAULT_BUDGET:
+        # count is |M(j - 1)|: arity j's entries are judged before arity
+        # j - 1 is built.
+        if count ** 2 << j > DEFAULT_BUDGET:
             raise EnumerationBudgetError(
                 f"monotone maps of arity {n} need all those of arity {j}: up to "
-                f"{len(tables)}^2 tables of 2^{j} entries, more than the budget of "
+                f"{count}^2 tables of 2^{j} entries, more than the budget of "
                 f"{DEFAULT_BUDGET}")
+        if j > 1:
+            tables, above = _double(tables, above)
         above = list(above)
         count = sum(map(len, above))
         cost = _doubling_bytes(j, len(tables), count)
@@ -629,6 +634,7 @@ def enumerate_monotone_maps(n: int, lattice: "Lattice") -> Iterator[tuple[int, .
                 f"monotone maps of arity {n} need all those of arity {j}: {count} tables "
                 f"of 2^{j} entries, about {cost} bytes as Python objects, more than the "
                 f"budget of {MONOTONE_BYTES} bytes")
+    if n > 1:
         tables, above = _double(tables, above)
     return (table + tables[b] for table, up in zip(tables, above) for b in up)
 

@@ -215,11 +215,11 @@ def value_table(f: PolyFn) -> FiniteFn:
 
 
 def value_columns(lattice: Lattice, arity: int, maps: Sequence[tuple[int, ...]]
-                  ) -> tuple[Sequence[tuple[int, ...]], list[bytes], list[bytes]]:
-    """A chunk of m coefficient tables over `lattice`, proved monotone,
-    with their coefficient and value tables in columns of m bytes: byte f
-    of coefficient column c is a_c of map f, and byte f of value column p
-    is entry p of its value_table. The maps come back as given.
+                  ) -> tuple[list[bytes], list[bytes]]:
+    """The coefficient and value columns of a chunk of m coefficient
+    tables over `lattice`, once the chunk is proved monotone: columns of
+    m bytes, where byte f of coefficient column c is a_c of map f, and
+    byte f of value column p is entry p of its value_table.
 
     The maps, joined map after map, run through value_table's n passes
     as one table: each pass reads A and B as the even and odd bytes of
@@ -261,7 +261,7 @@ def value_columns(lattice: Lattice, arity: int, maps: Sequence[tuple[int, ...]]
     if len(out) != k ** arity * m or out.translate(None, _BYTES[:k]):
         for f in range(m):
             FiniteFn((k,) * arity, k, out[f::m])
-    return maps, columns, [out[p * m:(p + 1) * m] for p in range(k ** arity)]
+    return columns, [out[p * m:(p + 1) * m] for p in range(k ** arity)]
 
 
 def _jump_plan(n: int, bits: int) -> tuple[tuple[int, int, int], ...]:

@@ -2,12 +2,12 @@
 
 One loop, `_sweep`, takes each domain a chunk at a time, 1, 2, 4, ...
 up to CHUNK_MAPS functions, so a sweep that stops at item s has drawn
-fewer than 2s. Per chunk the classifier's answers, coded as the batch
-oracle codes its own (mask and gap code bytes), are compared with the
-oracle's, so one comparison decides the chunk. An agreeing chunk adds
-its gap codes to the histogram, None counted as skipped. Only a chunk
-that differs is walked, function by function, through its sweep's
-check; the first counterexample stops the sweep. The check replays the
+fewer than 2s. A batch answer comes as mask and gap code bytes, and
+`_decoded` alone reads them, into each function's gap and essential
+positions as a verdict states them. An agreeing chunk adds its gap
+codes to the histogram, None counted as skipped. Only a chunk that
+differs is walked, function by function, through its sweep's check;
+the first counterexample stops the sweep. The check replays the
 function through a per-function oracle, and only when that replay
 sides with the classifier does the counterexample also name the batch
 answers (`batch_gap`, `batch_essential`, and so on).
@@ -15,8 +15,8 @@ answers (`batch_gap`, `batch_essential`, and so on).
 The Boolean sweep slices its answers from `boolean_gap_codes`, made
 once for the whole domain; the pseudo-Boolean sweep asks
 `table_gap_codes` per chunk. Both run their classifier on every
-function of a chunk, code the verdicts and replay through
-`gap_bruteforce`.
+function of a chunk and compare the verdicts with the decoded answers,
+a gap code of 3 never agreeing, and replay through `gap_bruteforce`.
 
 The gap-theorem sweep also caps a chunk by CHUNK_BYTES. There
 `polyfn.value_columns` builds the coefficient and value columns, and
@@ -31,11 +31,13 @@ batch classifier disagrees is a counterexample too. The replay is
 `gap_bruteforce` on the map's value table and on its 0/1 restriction:
 `restricted_essential` and `restricted_gap` are the restriction's
 essential positions and gap, the latter named only where it differs
-from `oracle_gap`. No state outlives a sweep.
+from `oracle_gap`. No state outlives a sweep but a bounded memo of
+decoded answers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
@@ -47,7 +49,8 @@ from .classify import (classify_boolean_gap, classify_polynomial_gap,
 from .finfun import (FiniteFn, boolean_gap_codes, enumerate_all_functions,
                      enumerate_monotone_maps, gap_bruteforce, lane_gap_codes, table_gap_codes)
 from .lattice import Lattice
-from .polyfn import _check_table_budget, _proven_polyfn, value_columns, value_table
+from .polyfn import (_check_table_budget, _positions, _proven_polyfn, value_columns,
+                     value_table)
 
 Outcome = tuple[int | None, dict | None]
 
@@ -96,26 +99,6 @@ class SweepReport:
         return "\n".join(lines)
 
 
-class _Masks(dict):
-    # The batch mask bytes of each sorted tuple of positions in 1..arity,
-    # filled as met; any other tuple gets b"", which matches no chunk.
-    def __init__(self, arity: int):
-        super().__init__()
-        self.arity, self.width = arity, max(1, -(-arity // 8))
-
-    def __missing__(self, essential) -> bytes:
-        try:
-            mask = sum(1 << p - 1 for p in essential)
-        except (TypeError, ValueError):  # a position that is not a positive int
-            mask = -1
-        found = mask.to_bytes(self.width, "little") if 0 <= mask < 1 << self.arity else b""
-        self[essential] = found = found if _positions(found) == essential else b""
-        return found
-
-
-# The batch gap code of each gap a verdict may give; any other is coded
-# 4, which no oracle writes, and an oracle code of 3 matches no verdict.
-_GAP_CODES = {None: 0, 1: 1, 2: 2}
 # The gap each batch code stands for; 3 means 3 or more.
 _GAPS = (None, 1, 2, 3)
 
@@ -132,7 +115,7 @@ def _sweep(kind: str, params: dict, scanned_key: str, chunks: Iterable[tuple],
     for codes, walk in chunks:
         if walk is None:
             scanned += len(codes)
-            for gap, code in _GAP_CODES.items():
+            for code, gap in enumerate(_GAPS[:3]):
                 gap_counts[gap] += codes.count(code)
             continue
         for args in walk:
@@ -148,15 +131,17 @@ def _sweep(kind: str, params: dict, scanned_key: str, chunks: Iterable[tuple],
                        gap_counts, time.perf_counter() - start, counterexample)
 
 
-def _positions(mask: bytes) -> tuple[int, ...]:
-    # The positions a batch mask marks, sorted as a verdict lists them.
-    bits = int.from_bytes(mask, "little")
-    return tuple(k for k in range(1, 8 * len(mask) + 1) if (bits >> (k - 1)) & 1)
+@functools.lru_cache(maxsize=1024)
+def _answer(code: int, *mask: int) -> tuple[int | None, tuple[int, ...]]:
+    # One function's (gap, essential positions), as a verdict states
+    # them, from its batch gap code and mask bytes.
+    return _GAPS[code], _positions(int.from_bytes(mask, "little"))
 
 
-def _answers(width: int, masks: bytes, codes: bytes) -> Iterator[tuple[bytes, int]]:
-    # Each function's (mask, gap code) from a chunk's batch answers.
-    return ((masks[k * width:(k + 1) * width], code) for k, code in enumerate(codes))
+def _decoded(masks: bytes, codes: bytes) -> list[tuple]:
+    # Each function's answer from a chunk's batch answers, its mask
+    # taking len(masks) // len(codes) bytes: the one reader of the format.
+    return list(map(_answer, codes, *[iter(masks)] * (len(masks) // len(codes))))
 
 
 def _ramp(items: Iterator, most: int, lanes: Callable[[list], tuple]) -> Iterator[tuple]:
@@ -168,50 +153,48 @@ def _ramp(items: Iterator, most: int, lanes: Callable[[list], tuple]) -> Iterato
         size = min(2 * size, most)
 
 
-def _classified(arity: int, chunks: Iterable[tuple], classify: Callable) -> Iterator[tuple]:
+def _classified(chunks: Iterable[tuple], classify: Callable) -> Iterator[tuple]:
     # The chunks of a sweep whose classifier runs on every function: each
     # chunk's functions with their batch masks and gap codes become the
-    # codes and, when the verdicts coded as the batch oracle codes its
-    # answers differ from them, the walk of the chunk.
-    masks_of = _Masks(arity)
+    # codes and, when a code is 3 or the verdicts differ from the decoded
+    # answers, the walk of the chunk.
     for functions, masks, codes in chunks:
         verdicts = list(map(classify, functions))
-        if (bytes([_GAP_CODES.get(v.gap, 4) for v in verdicts]) == codes
-                and b"".join([masks_of[v.essential] for v in verdicts]) == masks):
+        answers = _decoded(masks, codes)
+        if 3 not in codes and [(v.gap, v.essential) for v in verdicts] == answers:
             yield codes, None
         else:
-            yield codes, zip(functions, verdicts, _answers(masks_of.width, masks, codes))
-        del functions, verdicts  # before the next chunk is built
+            yield codes, zip(functions, verdicts, answers)
+        del functions, verdicts, answers  # before the next chunk is built
 
 
 def _check(replay: Callable) -> Callable[..., Outcome]:
-    # Checks a verdict against its batch (mask, gap code), a code of 3
-    # never agreeing, and on a gap-theorem map against the (mask, code)
-    # of its 0/1 restriction and of the batch classifier. `replay(f)`
-    # gives the per-function oracle's report, the counterexample's first
-    # entry and, on a gap-theorem map, the restriction's report.
-    def check(f, verdict, answer: tuple[bytes, int], restricted: tuple[bytes, int] | None = None,
-              by_classifier: tuple[bytes, int] | None = None) -> Outcome:
-        mask, code = answer
-        gap = _GAPS[code]
-        agrees = verdict.gap == gap and gap != 3 and verdict.essential == _positions(mask)
+    # Checks a verdict against its decoded batch answer, a gap of 3
+    # never agreeing, and on a gap-theorem map against the answers for
+    # its 0/1 restriction and of the batch classifier. `replay(f)` gives
+    # the per-function oracle's report, the counterexample's first entry
+    # and, on a gap-theorem map, the restriction's report.
+    def check(f, verdict, answer: tuple, restricted: tuple | None = None,
+              by_classifier: tuple | None = None) -> Outcome:
+        gap, essential = answer
+        agrees = gap != 3 and (verdict.gap, verdict.essential) == answer
         if agrees and restricted in (None, answer) and by_classifier in (None, answer):
             return gap, None
         report, found, restriction = replay(f)
         found.update(classifier_gap=verdict.gap, oracle_gap=report.gap,
                      essential=list(verdict.essential),
                      oracle_essential=sorted(report.essential))
-        batch = {"batch_gap": gap, "batch_essential": list(_positions(mask))}
+        batch = {"batch_gap": gap, "batch_essential": list(essential)}
         if restriction is not None:
             found["restricted_essential"] = sorted(restriction.essential)
             if restriction.gap != report.gap:
                 found["restricted_gap"] = restriction.gap
-            batch["batch_restricted_essential"] = list(_positions(restricted[0]))
-            if restricted[1] != code:
-                batch["batch_restricted_gap"] = _GAPS[restricted[1]]
+            batch["batch_restricted_essential"] = list(restricted[1])
+            if restricted[0] != gap:
+                batch["batch_restricted_gap"] = restricted[0]
         if agrees and by_classifier not in (None, answer):  # only the batch classifier is left
-            batch.update(batch_classifier_gap=_GAPS[by_classifier[1]],
-                         batch_classifier_essential=list(_positions(by_classifier[0])))
+            batch.update(batch_classifier_gap=by_classifier[0],
+                         batch_classifier_essential=list(by_classifier[1]))
         if (verdict.gap == report.gap and report.gap in (None, 1, 2)
                 and frozenset(verdict.essential) == report.essential
                 and (restriction is None or (restriction.gap, restriction.essential)
@@ -231,7 +214,7 @@ def sweep_boolean(arity: int) -> SweepReport:
         batch, bytes(itertools.islice(masks, len(batch))),
         bytes(itertools.islice(codes, len(batch)))))
     return _sweep("boolean", {"arity": arity}, "scanned",
-                  _classified(arity, chunks, classify_boolean_gap),
+                  _classified(chunks, classify_boolean_gap),
                   _check(lambda f: (gap_bruteforce(f), {"table": "".join(map(str, f.table))},
                                     None)))
 
@@ -245,7 +228,7 @@ def sweep_pseudo_boolean(arity: int, codomain: int) -> SweepReport:
     chunks = _ramp(functions, CHUNK_MAPS, lambda batch: (
         batch, *table_gap_codes((2,) * arity, [f.table for f in batch])))
     return _sweep("pseudo-boolean", {"arity": arity, "codomain": codomain}, "scanned",
-                  _classified(arity, chunks, classify_pseudo_boolean_gap),
+                  _classified(chunks, classify_pseudo_boolean_gap),
                   _check(lambda f: (gap_bruteforce(f), {"table": list(f.table)}, None)))
 
 
@@ -263,12 +246,11 @@ def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
     points, subsets = lattice.size ** arity, 1 << arity
     most = max(1, min(CHUNK_MAPS, (CHUNK_BYTES - 50 * points - 300 * subsets)
                       // (4 * points + 12 * subsets + 64)))
-    width = max(1, -(-arity // 8))
 
     def lanes(batch: list[tuple[int, ...]]) -> tuple[bytes, Iterator | None]:
         # The chunk's gap codes and, when its three batch answers differ,
         # its walk.
-        _, coefficients, values = value_columns(lattice, arity, batch)
+        coefficients, values = value_columns(lattice, arity, batch)
         oracle = lane_gap_codes(sizes, values)
         restricted = lane_gap_codes(binary, coefficients)
         by_classifier = polynomial_gap_codes(arity, coefficients)
@@ -277,7 +259,7 @@ def sweep_gap_theorem(name: str, lattice: Lattice, arity: int) -> SweepReport:
         del coefficients, values  # before the PolyFns are built
         fns = [_proven_polyfn(lattice, arity, coeffs) for coeffs in batch]
         return oracle[1], zip(fns, map(classify_polynomial_gap, fns),
-                              *(_answers(width, *answers)
+                              *(_decoded(*answers)
                                 for answers in (oracle, restricted, by_classifier)))
 
     return _sweep("gap-theorem", {"lattice": name, "size": lattice.size, "arity": arity},

@@ -371,7 +371,7 @@ def _chunk_peak(lat, arity: int, m: int) -> int:
     tracemalloc.start()
     try:
         maps = list(itertools.islice(monotone_maps_recursive(arity, lat), m))
-        _, coefficients, values = value_columns(lat, arity, maps)
+        coefficients, values = value_columns(lat, arity, maps)
         lane_gap_codes((lat.size,) * arity, values)
         lane_gap_codes((2,) * arity, coefficients)
         codes = polynomial_gap_codes(arity, coefficients)[1]

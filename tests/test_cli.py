@@ -387,6 +387,28 @@ def test_essential_disagreement_exit_code(capsys, monkeypatch):
         "essential": [1, 2], "oracle_essential": []}
 
 
+def test_unsorted_essential_positions_disagree(capsys, monkeypatch):
+    # The right positions in the wrong order are a disagreement: a
+    # verdict lists its essential positions sorted, as the batch masks
+    # decode. The replay sides with the classifier's set, so the
+    # counterexample names the batch answers.
+    import latgap.sweep as sweep
+
+    def reversed_essential(f):
+        verdict = classify_boolean_gap(f)
+        if len(verdict.essential) < 2:
+            return verdict
+        return SimpleNamespace(gap=verdict.gap, essential=verdict.essential[::-1])
+
+    monkeypatch.setattr(sweep, "classify_boolean_gap", reversed_essential)
+    rc, payload, _ = run_json(capsys, ["verify", "boolean", "--arity", "2"])
+    assert (rc, payload["ok"]) == (2, False)
+    assert payload["counterexample"] == {
+        "table": "0001", "classifier_gap": 1, "oracle_gap": 1,
+        "essential": [2, 1], "oracle_essential": [1, 2],
+        "batch_gap": 1, "batch_essential": [1, 2]}
+
+
 GAP_THEOREM = ["verify", "gap-theorem", "--lattice", "chain3", "--arity", "3"]
 # The first truncated median the chain3 sweep meets: (0 or median) and a.
 MEDIAN_COEFFICIENTS = ["0", "0", "0", "a", "0", "a", "a", "a"]

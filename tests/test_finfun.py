@@ -328,7 +328,7 @@ def test_table_gap_codes_match_the_oracle_on_monotone_maps():
         lat = builtin_lattice(name)
         maps = list(enumerate_monotone_maps(arity, lat))
         for start in range(0, len(maps), 256):
-            _, _, columns = value_columns(lat, arity, maps[start:start + 256])
+            _, columns = value_columns(lat, arity, maps[start:start + 256])
             joined, count = b"".join(columns), len(columns[0])
             assert_lanes_match_oracle((lat.size,) * arity,
                                       [joined[f::count] for f in range(count)])
@@ -566,6 +566,23 @@ def test_monotone_maps_count_their_python_objects(monkeypatch):
                 f"the budget of {64 << 20} bytes")
         else:
             assert first == (0,) * (1 << n) and peak <= max(estimates), (spec, peak)
+
+
+def test_monotone_maps_refuse_before_building_the_arity_below():
+    # chain40/5 would need arity 3 from the 235,340 tables of arity 2.
+    # Their count is known once arity 1 is built, so the call refuses
+    # without building arity 2 (35 MB traced when it did).
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationBudgetError) as info:
+            enumerate_monotone_maps(5, chain(40))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (
+        "monotone maps of arity 5 need all those of arity 3: up to 235340^2 tables of 2^3 "
+        "entries, more than the budget of 10000000")
+    assert peak < 5 << 20, peak
 
 
 def test_minors_match_point_reference():
